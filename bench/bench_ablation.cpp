@@ -6,6 +6,11 @@
 //   A4  DP grid resolution vs plan quality and cost
 //   A5  regenerative braking on/off, paper vs physical convention
 //   A6  window safety margins vs execution robustness
+//   A15 DP bound pruning on/off: relaxations, wall time, equal optimum
+#include <algorithm>
+#include <vector>
+
+#include "common/clock.hpp"
 #include "core/glosa.hpp"
 #include "ev/degradation.hpp"
 #include "ev/efficiency_map.hpp"
@@ -511,6 +516,46 @@ void a14_efficiency_map() {
   save_csv("ablation_a14_efficiency_map.csv", csv);
 }
 
+void a15_bound_pruning() {
+  // Admissible cost-to-go bound pruning (DESIGN.md "Bound pruning") must
+  // leave every optimum untouched while skipping most relaxations. Each
+  // departure is a distinct cold solve (a repeated one would be spliced).
+  print_header("A15 - DP bound pruning on/off (cold US-25 solves)");
+  const ExperimentWorld world;
+  TextTable table({"bound pruning", "solves", "relaxations/solve", "ms/solve", "sweeps/solve",
+                   "costs equal"});
+  CsvTable csv;
+  csv.columns = {"bound_pruning", "solves", "relaxations", "ms_per_solve", "sweeps",
+                 "costs_equal"};
+  constexpr int kSolves = 8;
+  std::vector<double> exhaustive_costs;
+  for (const bool bound : {false, true}) {
+    core::PlannerConfig cfg = world.planner_config(core::SignalPolicy::kQueueAware);
+    cfg.bound_pruning = bound;
+    const core::VelocityPlanner planner(world.corridor, world.energy, cfg);
+    double relaxations = 0.0, sweeps = 0.0, seconds = 0.0;
+    bool equal = true;
+    for (int k = 0; k < kSolves; ++k) {
+      const std::uint64_t t0 = common::now_ns();
+      const core::DpSolution solution = planner.plan_with_stats(
+          Seconds(world.depart_s + 7.0 * static_cast<double>(k)), world.lane_demand());
+      seconds += common::seconds_between_ns(t0, common::now_ns());
+      relaxations += static_cast<double>(solution.stats.relaxations);
+      sweeps += static_cast<double>(std::max<std::size_t>(solution.stats.bound_attempts, 1));
+      if (!bound) exhaustive_costs.push_back(solution.stats.best_cost_mah);
+      else equal = equal && solution.stats.best_cost_mah == exhaustive_costs[k];
+    }
+    table.add_row({bound ? "on" : "off", std::to_string(kSolves),
+                   format_double(relaxations / kSolves / 1e6, 2) + "M",
+                   format_double(1e3 * seconds / kSolves, 1), format_double(sweeps / kSolves, 2),
+                   equal ? "yes" : "NO"});
+    csv.add_row({bound ? 1.0 : 0.0, static_cast<double>(kSolves), relaxations / kSolves,
+                 1e3 * seconds / kSolves, sweeps / kSolves, equal ? 1.0 : 0.0});
+  }
+  table.print(std::cout);
+  save_csv("ablation_a15_bound_pruning.csv", csv);
+}
+
 }  // namespace
 }  // namespace evvo::bench
 
@@ -529,5 +574,6 @@ int main() {
   evvo::bench::a12_glosa_comparison();
   evvo::bench::a13_car_following_robustness();
   evvo::bench::a14_efficiency_map();
+  evvo::bench::a15_bound_pruning();
   return 0;
 }

@@ -125,8 +125,8 @@ void BM_DpBatchSolve(benchmark::State& state) {
   // Gate pair: BM_DpBatchSolve/8 against BM_DpBatchSolveSequential/8
   // (byte-identical problems, one solve_dp each). Steady-state serving shape:
   // the pool persists across batches in PlanService, so one untimed batch
-  // first-touches the SoA tables and later iterations measure the sweep
-  // itself. On vector-width-1 builds both paths coincide.
+  // first-touches the pooled tables and later iterations measure the solves
+  // themselves.
   const BatchWorkload w(static_cast<int>(state.range(0)));
   core::WorkspacePool pool;
   core::DpBatchStats stats;
@@ -135,9 +135,8 @@ void BM_DpBatchSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(core::solve_dp_batch(w.problems, pool, nullptr, &stats));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(std::to_string(stats.batched_lanes) + " SoA lanes + " +
-                 std::to_string(stats.fallback_lanes) + " fallback, " +
-                 std::to_string(core::dp_batch_lanes()) + "-wide sweep");
+  state.SetLabel(std::to_string(stats.solves) + " solves in " + std::to_string(stats.groups) +
+                 " group(s)");
 }
 BENCHMARK(BM_DpBatchSolve)->Arg(8)->Unit(benchmark::kMillisecond);
 

@@ -23,10 +23,10 @@ using core::DpSolution;
 
 bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// Applies the per-lane freedoms DpBatchKey grants: departure time, window
+/// Varies one problem of a batch against its base: departure time, window
 /// contents (rigid shift keeps the list ordered and disjoint), and boundary
-/// speed (snapped to the velocity grid). The event skeleton, grid shape, and
-/// penalty config stay untouched so the lane remains groupable with its base.
+/// speed (snapped to the velocity grid). The route stays, so the problem
+/// shares its base's group and workspace.
 void perturb_lane(DpProblem& prob, Rng& rng) {
   prob.depart_time = Seconds(prob.depart_time.value() + rng.uniform(-30.0, 30.0));
   if (rng.bernoulli(0.5)) {
@@ -68,13 +68,13 @@ BatchIdentityReport check_batch_identity(std::uint64_t seed,
   report.seed = seed;
 
   Rng rng(seed ^ 0xC4A1'5EED'0F2B'7A93ULL);
-  const std::size_t k = core::dp_batch_lanes();
+  // Up to 8 problems per scenario: enough for workspace reuse across a
+  // group's problems to matter.
+  constexpr std::size_t k = 4;
 
   // Group A is the seed's scenario; with probability 1/2 a second scenario's
-  // lanes are interleaved so the key-grouping and input-order scatter paths
-  // are exercised, not just the single-group fast path. Sizes span 1..2K, so
-  // over the fuzz run every dispatch shape appears: pure ragged fallback
-  // (< K), exactly one SoA chunk, and chunk-plus-remainder.
+  // problems are interleaved so the route grouping and input-order scatter
+  // paths are exercised, not just the single-group path.
   const Scenario scen_a(generate_scenario(seed));
   const std::size_t n_a = 1 + static_cast<std::size_t>(
                                   rng.uniform_int(0, static_cast<int>(2 * k) - 1));
@@ -91,12 +91,14 @@ BatchIdentityReport check_batch_identity(std::uint64_t seed,
     if (i < n_a) {
       DpProblem prob = scen_a.problem();
       prob.checksum_tables = true;
+      prob.bound_pruning = false;  // work counters are compared too
       if (i > 0) perturb_lane(prob, rng);  // lane 0 is the unmodified base
       problems.push_back(std::move(prob));
     }
     if (i < n_b) {
       DpProblem prob = scen_b->problem();
       prob.checksum_tables = true;
+      prob.bound_pruning = false;  // work counters are compared too
       if (i > 0) perturb_lane(prob, rng);
       problems.push_back(std::move(prob));
     }
@@ -108,20 +110,17 @@ BatchIdentityReport check_batch_identity(std::uint64_t seed,
   std::vector<std::optional<DpSolution>> batch =
       core::solve_dp_batch(problems, pool, nullptr, &stats);
   report.groups = stats.groups;
-  report.batched_lanes = stats.batched_lanes;
-  report.fallback_lanes = stats.fallback_lanes;
 
   const auto fail = [&](const char* invariant, const std::string& detail) {
     report.violations.push_back(Violation{std::string("batch.") + invariant, detail});
   };
 
-  // Dispatch accounting must cover every lane exactly once, and the group
-  // count must match the distinct keys submitted (2 scenarios -> 2 groups;
+  // Dispatch accounting must count every problem once, and the group count
+  // must match the distinct routes submitted (2 scenarios -> 2 groups;
   // distinct corridors cannot share a route hash in practice).
-  if (stats.batched_lanes + stats.fallback_lanes != problems.size()) {
+  if (stats.solves != problems.size()) {
     std::ostringstream detail;
-    detail << "dispatch covered " << stats.batched_lanes << "+" << stats.fallback_lanes
-           << " lanes, submitted " << problems.size();
+    detail << "dispatch solved " << stats.solves << " problems, submitted " << problems.size();
     fail("dispatch", detail.str());
   }
   const std::size_t want_groups = scen_b.has_value() ? 2 : 1;
@@ -197,8 +196,7 @@ BatchIdentityReport check_batch_identity(std::uint64_t seed,
 std::string batch_report_to_string(const BatchIdentityReport& report) {
   std::ostringstream out;
   out << "batch seed " << report.seed << ": " << report.lanes << " lanes in " << report.groups
-      << " group(s) (" << report.batched_lanes << " batched, " << report.fallback_lanes
-      << " fallback, " << report.infeasible_lanes << " infeasible)";
+      << " group(s) (" << report.infeasible_lanes << " infeasible)";
   if (report.ok()) {
     out << ": OK\n";
   } else {

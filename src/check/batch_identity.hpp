@@ -1,17 +1,16 @@
-// Differential oracle for the batched SoA multi-scenario DP
-// (core/dp_batch.hpp).
+// Differential oracle for the batch entry point (core/dp_batch.hpp).
 //
 // One check generates a scenario from its seed and fans it into a batch of
-// compatible lane variants (departure jitter, shifted signal windows,
-// different boundary speeds - exactly the per-lane freedoms DpBatchKey
-// grants), optionally interleaved with a second scenario's batch so the
-// grouping logic is exercised. The whole set is solved once through
-// solve_dp_batch() and once more lane-by-lane through the standalone
-// solve_dp(); every lane must agree bit-for-bit: feasibility, full
+// lane variants (departure jitter, shifted signal windows, different
+// boundary speeds), optionally interleaved with a second scenario's batch so
+// the per-route grouping is exercised. The whole set is solved once through
+// solve_dp_batch() and once more problem-by-problem through the standalone
+// solve_dp(); every problem must agree bit-for-bit: feasibility, full
 // state-table checksum, optimal cost, work counters (relaxations, frontier,
 // pruned), and every profile byte. The dispatch accounting is also checked:
-// every lane must be either batched or a ragged-remainder fallback, and the
-// group count must match the distinct keys submitted.
+// every problem must be accounted for, and the group count must match the
+// distinct routes submitted. Bound pruning is off on both sides so the
+// table-level comparison stays meaningful.
 //
 // `evvo_fuzz --batch` drives many checks; the tamper option corrupts one
 // batched result so the harness can prove the oracle fires.
@@ -34,9 +33,7 @@ struct BatchIdentityOptions {
 struct [[nodiscard]] BatchIdentityReport {
   std::uint64_t seed = 0;
   std::size_t lanes = 0;             ///< scenarios submitted to the batch
-  std::size_t groups = 0;            ///< distinct compatibility groups
-  std::size_t batched_lanes = 0;     ///< lanes the SoA sweep solved
-  std::size_t fallback_lanes = 0;    ///< ragged-remainder standalone solves
+  std::size_t groups = 0;            ///< distinct routes (one workspace each)
   std::size_t infeasible_lanes = 0;  ///< lanes both sides found infeasible
   std::vector<Violation> violations;
 

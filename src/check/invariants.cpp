@@ -238,6 +238,46 @@ void check_simd_identity(Reporter& rep, const DpProblem& base, core::DpWorkspace
   }
 }
 
+/// The bound-pruning contract: profile bytes and cost equal the exhaustive
+/// solve's in both dominance modes (tables and work counters may differ),
+/// and the bound at the source is admissible - at most the optimum, up to
+/// the float slack the solver's pruning margin covers.
+void check_bound_pruning(Reporter& rep, const DpProblem& base, core::DpWorkspace& ws,
+                         const SolveSet& un, const SolveSet& pr, Fault inject) {
+  for (const bool dominance : {false, true}) {
+    const std::optional<DpSolution>& exact = dominance ? pr.serial : un.serial;
+    const char* mode = dominance ? "dominance-pruned" : "exhaustive";
+    DpProblem p = base;
+    p.dominance_pruning = dominance;
+    p.bound_pruning = true;
+    p.resolution.threads = 1;
+    if (inject == Fault::kBoundInadmissible) p.bound_fault_inflation = 1.5;
+    const std::optional<DpSolution> bounded = core::solve_dp(p, ws, nullptr);
+    if (bounded.has_value() != exact.has_value()) {
+      rep.add("bound.feasibility") << mode << ": bound-pruned feasible=" << bounded.has_value()
+                                   << " but exact feasible=" << exact.has_value();
+      rep.commit();
+      continue;
+    }
+    if (!bounded) continue;
+    const double opt = exact->stats.best_cost_mah;
+    if (bounded->stats.best_cost_mah != opt) {
+      rep.add("bound.cost") << mode << ": bound-pruned best cost "
+                            << bounded->stats.best_cost_mah << " != exact " << opt;
+      rep.commit();
+    }
+    if (!profiles_bit_identical(bounded->profile, exact->profile)) {
+      rep.add("bound.profile") << mode << ": bound-pruned profile differs from the exact one";
+      rep.commit();
+    }
+    if (bounded->stats.bound_mah > opt + 1e-4 * std::abs(opt) + 0.5) {
+      rep.add("bound.admissible") << mode << ": source bound " << bounded->stats.bound_mah
+                                  << " mAh exceeds the optimum " << opt << " mAh";
+      rep.commit();
+    }
+  }
+}
+
 void check_queue_model(Reporter& rep, const Scenario& scenario) {
   const ScenarioSpec& spec = scenario.spec();
   const double t0 = spec.depart_time_s;
@@ -405,13 +445,15 @@ const char* fault_name(Fault fault) {
       return "energy-tamper";
     case Fault::kCostTamper:
       return "cost-tamper";
+    case Fault::kBoundInadmissible:
+      return "bound-inadmissible";
   }
   return "?";
 }
 
 Fault fault_from_name(const std::string& name) {
   for (const Fault f : {Fault::kNone, Fault::kWindowShift, Fault::kAccelTamper,
-                        Fault::kEnergyTamper, Fault::kCostTamper}) {
+                        Fault::kEnergyTamper, Fault::kCostTamper, Fault::kBoundInadmissible}) {
     if (name == fault_name(f)) return f;
   }
   throw std::invalid_argument("unknown fault '" + name + "'");
@@ -446,7 +488,10 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
   // The problems under test. kWindowShift models a planner running on stale
   // window predictions: the solver sees shifted T_q while the checkers judge
   // against the true ones - the objective re-coster must notice.
+  // The exact-table oracles below compare the exhaustive sweep's tables, so
+  // bound pruning is off for them; check_bound_pruning turns it back on.
   DpProblem base = scenario->problem();
+  base.bound_pruning = false;
   if (options.inject == Fault::kWindowShift) {
     for (LayerEvent& e : base.events) {
       if (e.type != LayerEvent::Type::kSignal || !e.enforce_windows) continue;
@@ -527,6 +572,8 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
       rep.commit();
     }
   }
+
+  if (options.run_bound_identity) check_bound_pruning(rep, base, ws, un, pr, options.inject);
 
   const std::optional<DpSolution>& spec_sol = base.dominance_pruning ? pr.serial : un.serial;
   if (!spec_sol) {

@@ -10,6 +10,9 @@
 //    counts, for both pruning modes, and the unpruned tables match the naive
 //    reference solver (differential oracle);
 //  - pruning soundness: pruned and unpruned solves agree on the optimal cost;
+//  - bound-pruning contract: a bound-pruned solve returns the exhaustive
+//    solve's profile bytes and optimal cost in both dominance modes, and its
+//    cost-to-go bound at the source never exceeds that optimum;
 //  - plan feasibility: speed limits, the acceleration envelope, boundary
 //    speeds, stop-sign dwells, horizon;
 //  - signal-window compliance: crossings outside T_q only when a hard-mode
@@ -43,6 +46,7 @@ enum class Fault {
   kAccelTamper,   ///< corrupt a profile speed -> feasibility must fire
   kEnergyTamper,  ///< corrupt the energy annotation -> accounting must fire
   kCostTamper,    ///< corrupt the reference cost -> differential must fire
+  kBoundInadmissible,  ///< inflate the cost-to-go bound -> bound contract must fire
 };
 
 const char* fault_name(Fault fault);
@@ -61,6 +65,9 @@ struct CheckOptions {
   /// profile to match the vectorized solve bit-for-bit. Trivially true on
   /// scalar-backend builds, where both paths compile to the same code.
   bool run_simd_identity = true;
+  /// Re-solve with bound pruning on and require the exhaustive solve's
+  /// profile and cost (core/dp_solver.hpp, "Bound pruning").
+  bool run_bound_identity = true;
   /// Pool for the threaded solves. Null creates one on demand per call; the
   /// fuzz driver shares one pool across all scenarios instead.
   common::ThreadPool* pool = nullptr;

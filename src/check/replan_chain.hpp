@@ -17,8 +17,14 @@
 // go cold), so the oracle fails both if warm-starting is ever wrong AND if
 // it silently stops being incremental.
 //
-// `evvo_fuzz --replan` drives many chains; the tamper option corrupts one
-// warm result so the harness can prove the oracle fires.
+// With bound pruning on, warm and cold sweeps may prune under different
+// incumbents, so their tables legitimately differ: the chain then compares
+// feasibility, optimal cost and profile bytes only, and accepts a warm
+// window edit falling back to cold when its reused incumbent does not
+// certify.
+//
+// `evvo_fuzz --replan` drives many chains, both ways; the tamper option
+// corrupts one warm result so the harness can prove the oracle fires.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +41,9 @@ struct ReplanChainOptions {
   /// Corrupt one warm profile node before comparison; the chain must then
   /// report a violation (oracle self-test, wired to `evvo_fuzz --inject`).
   bool tamper = false;
+  /// Solve both sides bound-pruned (see the header comment); off compares
+  /// the exhaustive sweeps' full tables.
+  bool bound_pruning = false;
 };
 
 struct [[nodiscard]] ReplanChainReport {
@@ -46,6 +55,7 @@ struct [[nodiscard]] ReplanChainReport {
   std::size_t relaxed_layers = 0;    ///< layer relaxations the warm side ran
   std::size_t total_layers = 0;      ///< layer relaxations the cold side ran
   std::size_t infeasible_steps = 0;  ///< steps where both sides found no plan
+  std::size_t bound_fallbacks = 0;   ///< warm window edits re-solved cold (bound)
   std::vector<Violation> violations;
 
   bool ok() const { return violations.empty(); }

@@ -96,6 +96,10 @@ ServiceStats PlanService::Shard::snapshot() const {
 
 PlanService::CacheKey PlanService::key_for(Seconds depart_time) const {
   const double depart_time_s = depart_time.value();  // .value() seam
+  // Checked before the phase is cast to an integer bin (and before anything
+  // reaches the planner): every request_* and slot_for_* path keys here.
+  if (!std::isfinite(depart_time_s))
+    throw std::invalid_argument("PlanService: non-finite request time");
   double phase = 0.0;
   if (hyperperiod_s_ > 0.0) {
     phase = std::fmod(depart_time_s, hyperperiod_s_);
@@ -108,6 +112,8 @@ PlanService::CacheKey PlanService::key_for(Seconds depart_time) const {
 }
 
 PlanService::CacheKey PlanService::replan_key_for(const ReplanRequest& request) const {
+  if (!std::isfinite(request.position_m) || !std::isfinite(request.speed_ms))
+    throw std::invalid_argument("PlanService::request_replan: non-finite position or speed");
   if (request.position_m < 0.0 || request.position_m >= planner_.corridor().length())
     throw std::invalid_argument("PlanService::request_replan: position outside the corridor");
 
@@ -351,10 +357,10 @@ std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& i
   }
 
   // Phase B - leader solves. Two or more leaders dispatch as ONE batched
-  // run: distinct keys mean distinct solver inputs, and solve_dp_batch packs
-  // the compatible ones into SoA lanes (full-trip misses across phase bins
-  // share a grid; replan misses from the same layer do too). A single leader
-  // keeps the plain serve path, which warm-starts from the workspace pool.
+  // run: distinct keys mean distinct solver inputs, and solve_dp_batch
+  // solves them back to back on pooled workspaces shared per route. A single
+  // leader keeps the plain serve path, which warm-starts from the workspace
+  // pool.
   // Every elected leader reaches an epilogue here - publish or error - so
   // followers (ours in phase C, or in concurrent calls) can never hang.
   if (leaders.size() >= 2) {

@@ -338,8 +338,8 @@ class PlanService {
   core::PlannedProfile solve_miss(const BatchItem& item);
   /// Cross-request batch dispatch: groups same-key items, admits each
   /// group's first member through the single-flight path, solves all
-  /// admitted leaders as ONE batched run (core/dp_batch.hpp packs
-  /// compatible solver runs into SoA lanes), then publishes results and
+  /// admitted leaders as ONE batched run (core/dp_batch.hpp, one pooled
+  /// workspace per route), then publishes results and
   /// derives every other member's ticket from its group leader's (one cache
   /// transaction per group).
   std::vector<PlanTicket> serve_batch(const std::vector<BatchItem>& items);
@@ -363,7 +363,7 @@ class PlanService {
   telemetry::Histogram* ticket_latency_ns_ = nullptr;
   telemetry::Histogram* batch_group_size_ = nullptr;
   /// Duration of the batched leader solve in serve_batch (covers the whole
-  /// plan_batch call: grouping, SoA sweeps, ragged fallbacks).
+  /// plan_batch call: problem construction and every solve).
   telemetry::Histogram* batch_solve_ns_ = nullptr;
 
   mutable common::Mutex pool_mutex_{common::LockRank::kServiceBatchPool};

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -120,6 +121,9 @@ struct [[nodiscard]] DpPrevSolution {
   DpProblemKey key{};
   std::vector<LayerEvent> events;
   bool dominance_pruning = true;
+  /// Incumbent bound the recorded tables were pruned under (+inf: unpruned);
+  /// a warm resume over them must reuse it (core/dp_solver.hpp).
+  float bound_ub = std::numeric_limits<float>::infinity();
   bool had_checksum = false;
   /// Engaged exactly when `valid` (PlannedProfile has no empty state).
   std::optional<DpSolution> solution;
@@ -134,6 +138,8 @@ struct [[nodiscard]] DpReplanStats {
   std::size_t relaxed_layers = 0;  ///< layer relaxations actually run
   std::size_t total_layers = 0;    ///< layer relaxations a cold solve runs
   const char* cold_reason = "";    ///< why the solve went cold (kCold only)
+  /// kCold because a warm resume's reused incumbent did not certify.
+  bool bound_fallback = false;
 };
 
 /// solve_dp with warm-start: classifies `problem` against `prev` (the last

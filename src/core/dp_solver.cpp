@@ -12,7 +12,6 @@
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "core/dp_common.hpp"
-#include "core/dp_extract.hpp"
 #include "core/dp_replan.hpp"
 
 namespace evvo::core {
@@ -32,9 +31,27 @@ using detail::pred_k;
 
 constexpr float kInf = detail::kDpInf;
 
+/// Incumbent schedule of a cold bound-pruned solve: UB = h0 + eps * max(|h0|,
+/// kBoundFloorMah) per step, then one unpruned sweep. The floor keeps the
+/// schedule growing when the bound at the source is near or below zero.
+constexpr double kBoundEps[] = {0.02, 0.08, 0.32};
+constexpr double kBoundFloorMah = 10.0;
+
+/// Slack between a pruned state's g + h and UB: covers the float rounding of
+/// h's backward sums against the forward sums over a few hundred layers.
+float bound_margin(float ub) { return 1e-4f * std::abs(ub) + 0.5f; }
+
+/// Below this many sources a layer's stripes run on the calling thread: the
+/// relaxation is shorter than the pool's hand-off (results are identical
+/// either way, since stripes own disjoint rows).
+constexpr std::size_t kMinParallelSources = 2048;
+
 }  // namespace
 
 void DpResolution::validate() const {
+  if (!std::isfinite(ds_m) || !std::isfinite(dv_ms) || !std::isfinite(dt_s) ||
+      !std::isfinite(horizon_s))
+    throw std::invalid_argument("DpResolution: steps must be finite");
   if (ds_m <= 0.0 || dv_ms <= 0.0 || dt_s <= 0.0 || horizon_s <= 0.0)
     throw std::invalid_argument("DpResolution: all steps must be positive");
   if (horizon_s / dt_s > 1e6) throw std::invalid_argument("DpResolution: too many time bins");
@@ -42,6 +59,9 @@ void DpResolution::validate() const {
 
 void DpProblem::validate() const {
   if (!route || !energy) throw std::invalid_argument("DpProblem: route and energy model required");
+  if (!std::isfinite(depart_time.value()) || !std::isfinite(initial_speed.value()) ||
+      !std::isfinite(final_speed.value()))
+    throw std::invalid_argument("DpProblem: departure time and boundary speeds must be finite");
   resolution.validate();
   penalty.validate();
 }
@@ -167,6 +187,28 @@ void DpWorkspace::ensure_model_tables(const road::Route& route, const ev::Energy
   model_key_ = key;
 }
 
+void DpWorkspace::ensure_state_tables(std::size_t n_layers, std::size_t n_v, std::size_t n_t) {
+  // No grid-wide clear per solve: each destination row's span is reset to
+  // +inf by the stripe that relaxes into it, and time_/back_ are only ever
+  // read behind a finite cost, so stale contents from earlier solves are
+  // unreachable. Only fresh memory or a changed row layout needs a fill.
+  const std::size_t need = n_layers * n_v * n_t;
+  bool fresh = cost_.grow_to(need);
+  fresh = time_.grow_to(need) || fresh;
+  fresh = back_.grow_to(need) || fresh;
+  if (fresh || span_nv_ != n_v || span_nt_ != n_t) {
+    span_layers_ = 0;
+    span_nv_ = n_v;
+    span_nt_ = n_t;
+  }
+  if (span_layers_ >= n_layers) return;
+  std::fill(cost_.data() + span_layers_ * n_v * n_t, cost_.data() + need, kInf);
+  span_.resize(std::max(span_.size(), n_layers * n_v));
+  std::fill(span_.begin() + static_cast<std::ptrdiff_t>(span_layers_ * n_v),
+            span_.begin() + static_cast<std::ptrdiff_t>(n_layers * n_v), RowSpan{});
+  span_layers_ = n_layers;
+}
+
 namespace detail {
 
 /// One solve over a workspace. Per layer, the live (velocity, time-bin)
@@ -187,7 +229,18 @@ class DpEngine {
   /// for that precondition; everything here stays bit-identical to a cold
   /// run because relax_layer(i) reads only layer i's table and the dwell
   /// re-expansion of an already-expanded layer is a strict-< no-op.
-  std::optional<DpSolution> run(std::size_t first_relax);
+  ///
+  /// With bound pruning active, a warm entry whose prefix tables were pruned
+  /// under incumbent `prefix_ub` (+inf: unpruned prefix) resumes under the
+  /// same UB if the prefix's bound rows are unchanged, else - or if that
+  /// sweep does not certify - it re-solves cold over the incumbent schedule.
+  std::optional<DpSolution> run(std::size_t first_relax, float prefix_ub = kInf);
+
+  /// Incumbent of the accepted sweep (+inf: unpruned); a warm resume over
+  /// the tables this run left behind must reuse it.
+  float accepted_ub() const { return accepted_ub_; }
+  /// A warm entry that had to re-solve from layer 0.
+  bool fell_back_cold() const { return fell_back_cold_; }
 
   /// Checksum of the state tables a previous run left in `ws` (splice path:
   /// serving a cached solution to a caller that newly asks for checksums).
@@ -201,12 +254,24 @@ class DpEngine {
   using Fwd = DpWorkspace::FwdHop;
   using Rev = DpWorkspace::RevHop;
 
-  void reset_state();
+  void setup(std::size_t first_relax);
+  std::optional<DpSolution> solve(std::size_t first_relax, float prefix_ub);
+  void compute_bound();
+  /// One sweep from first_relax, bound-pruned under `ub` (+inf: no bound
+  /// pruning). std::nullopt: infeasible, or optimum above `ub` (uncertified).
+  std::optional<DpSolution> sweep(std::size_t first_relax, float ub);
   bool relax_layer(std::size_t i);  // false: layer empty, solve infeasible
   void relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_end, std::size_t stripe);
   std::optional<DpSolution> extract_solution();
 
   std::size_t cell_of(std::size_t j, std::size_t k) const { return j * n_t_ + k; }
+  /// +inf-fills row (i, j)'s live span and empties it.
+  void reset_row(std::size_t i, std::size_t j) {
+    DpWorkspace::RowSpan& span = ws_.span_[i * n_v_ + j];
+    float* row = ws_.cost_.data() + i * layer_size_ + j * n_t_;
+    std::fill(row + span.lo, row + span.hi, kInf);
+    span = DpWorkspace::RowSpan{};
+  }
 
   const DpProblem& problem_;
   DpWorkspace& ws_;
@@ -239,25 +304,20 @@ class DpEngine {
   /// pruning. -1 when no window is enforced anywhere.
   std::ptrdiff_t last_window_layer_ = -1;
   std::vector<float> smooth_by_diff_;  ///< smoothness cost per |j2 - j|
+  /// UB + margin of the current sweep; +inf when it does not bound-prune.
+  float prune_thresh_ = kInf;
+  float accepted_ub_ = kInf;
+  bool fell_back_cold_ = false;
 
   std::vector<std::size_t> stripe_relaxations_;
   DpStats stats_;
 };
 
-void DpEngine::reset_state() {
-  // No grid-wide clear: each destination row is reset to +inf by the stripe
-  // that relaxes into it, and time_/back_ are only ever read behind a finite
-  // cost, so stale contents from earlier solves are unreachable.
-  const std::size_t need = n_layers_ * layer_size_;
-  ws_.cost_.grow_to(need);
-  ws_.time_.grow_to(need);
-  ws_.back_.grow_to(need);
-}
-
-std::optional<DpSolution> DpEngine::run(std::size_t first_relax) {
+std::optional<DpSolution> DpEngine::run(std::size_t first_relax, float prefix_ub) {
   // Cold solves (full sweep) and warm resumes (replan suffix) land in
   // separate histograms: their latency distributions differ by orders of
-  // magnitude and a merged percentile would describe neither.
+  // magnitude and a merged percentile would describe neither. A certified
+  // bound-pruned solve is one sample however many sweeps it took.
   static telemetry::Histogram& cold_hist = telemetry::histogram("dp.solve_cold_ns");
   static telemetry::Histogram& warm_hist = telemetry::histogram("dp.solve_warm_ns");
   const bool cold = first_relax == 0;
@@ -267,7 +327,64 @@ std::optional<DpSolution> DpEngine::run(std::size_t first_relax) {
   // Any engine run - warm, cold, throwing, or infeasible - invalidates every
   // previous-solve snapshot other solvers hold against this workspace.
   ++ws_.solve_serial_;
+  setup(first_relax);
+  std::optional<DpSolution> out = solve(first_relax, prefix_ub);
 
+  // Fleet-level work counters (registry only, never DpStats: the stats struct
+  // is part of the SIMD-vs-scalar bit-identity contract). Pushed even for
+  // infeasible sweeps - the work was still done.
+  static telemetry::Counter& relax_ctr = telemetry::counter("dp.relaxations");
+  static telemetry::Counter& frontier_ctr = telemetry::counter("dp.frontier_states");
+  static telemetry::Counter& pruned_ctr = telemetry::counter("dp.pruned_states");
+  static telemetry::Counter& bound_pruned_ctr = telemetry::counter("dp.bound_pruned_states");
+  static telemetry::Counter& bound_attempts_ctr = telemetry::counter("dp.bound_attempts");
+  relax_ctr.add(static_cast<long>(stats_.relaxations));
+  frontier_ctr.add(static_cast<long>(stats_.frontier_states));
+  pruned_ctr.add(static_cast<long>(stats_.pruned_states));
+  bound_pruned_ctr.add(static_cast<long>(stats_.bound_pruned_states));
+  bound_attempts_ctr.add(static_cast<long>(stats_.bound_attempts));
+  return out;
+}
+
+std::optional<DpSolution> DpEngine::solve(std::size_t first_relax, float prefix_ub) {
+  // The bound ignores dwells and stop-sign charges, which is sound only while
+  // idling costs nothing negative.
+  if (!problem_.bound_pruning || idle_mah_s_ < 0.0) return sweep(first_relax, kInf);
+
+  std::swap(ws_.bound_, ws_.bound_prev_);
+  compute_bound();
+  const float h0 = ws_.bound_[j_source_];
+  stats_.bound_mah = static_cast<double>(h0);
+  if (h0 >= kInf) return std::nullopt;  // the destination is unreachable even unconstrained
+
+  if (first_relax > 0 && prefix_ub < kInf) {
+    // The prefix tables were pruned with the previous bound's rows
+    // [0, first_relax) under prefix_ub: a resume under the same rows and UB
+    // is the sweep a cold run under that UB would make.
+    const std::size_t rows = first_relax * n_v_;
+    const bool same_rows = ws_.bound_prev_.size() >= rows &&
+                           std::memcmp(ws_.bound_prev_.data(), ws_.bound_.data(),
+                                       rows * sizeof(float)) == 0;
+    if (same_rows) {
+      ++stats_.bound_attempts;
+      if (std::optional<DpSolution> out = sweep(first_relax, prefix_ub)) return out;
+    }
+    first_relax = 0;
+    fell_back_cold_ = true;
+  }
+  // An unpruned prefix is compatible with any UB, so a warm entry from one
+  // keeps its first_relax through the schedule.
+  const double scale = std::max(std::abs(static_cast<double>(h0)), kBoundFloorMah);
+  for (const double eps : kBoundEps) {
+    ++stats_.bound_attempts;
+    const auto ub = static_cast<float>(static_cast<double>(h0) + eps * scale);
+    if (std::optional<DpSolution> out = sweep(first_relax, ub)) return out;
+  }
+  ++stats_.bound_attempts;
+  return sweep(first_relax, kInf);
+}
+
+void DpEngine::setup(std::size_t first_relax) {
   // Grid geometry. The distance step is adjusted so layers divide the route
   // length exactly.
   n_hops_ = static_cast<std::size_t>(std::max(1.0, std::round(route_.length() / res_.ds_m)));
@@ -336,31 +453,87 @@ std::optional<DpSolution> DpEngine::run(std::size_t first_relax) {
 
   ws_.ensure_model_tables(route_, energy_, res_, problem_.time_weight_mah_per_s,
                           problem_.smoothness_weight_mah_per_ms, ds_, n_hops_, n_layers_, n_v_);
-  reset_state();
+  ws_.ensure_state_tables(n_layers_, n_v_, n_t_);
 
   if (first_relax >= n_layers_) throw std::invalid_argument("solve_dp: first_relax out of range");
-
-  // Source state at the departure time (layer 0 cleared in full: its source
-  // scan visits every row). A warm run resumes mid-sweep: layers up to and
-  // including first_relax already hold the previous solve's bits.
-  if (first_relax == 0) {
-    std::fill(ws_.cost_.data(), ws_.cost_.data() + layer_size_, kInf);
-    const std::size_t id = cell_of(j_source_, 0);  // layer 0 base is 0
-    ws_.cost_[id] = 0.0f;
-    ws_.time_[id] = static_cast<float>(problem_.depart_time.value());
-    ws_.back_[id] = kNoPred;
-  }
 
   stats_ = DpStats{};
   stats_.layers = n_layers_;
   stats_.velocity_levels = n_v_;
   stats_.time_bins = n_t_;
-
   const std::size_t width = pool_ ? std::min<std::size_t>(pool_->thread_count(),
                                                           common::ThreadPool::resolve_threads(res_.threads))
                                   : 1;
   stripe_relaxations_.assign(std::max<std::size_t>(width, 1), 0);
+}
 
+void DpEngine::compute_bound() {
+  // Backward sweep over (layer, velocity): h[i][j] is the cheapest
+  // completion from velocity j at layer i over the same hops, speed limits,
+  // stop-sign and terminal-speed rules as the forward relaxation, with every
+  // hop charged its cheapest possible cost (in or out of T_q). Windows,
+  // dwells, stop-sign charges and the horizon only add cost or remove
+  // states, so h never exceeds a true cost-to-go and is consistent.
+  const std::size_t n_v = n_v_;
+  ws_.bound_.assign(n_layers_ * n_v, kInf);
+  float* h = ws_.bound_.data();
+  h[(n_layers_ - 1) * n_v + j_dest_] = 0.0f;
+  for (std::size_t i = n_layers_ - 1; i-- > 0;) {
+    const LayerEvent* event = event_at_[i];
+    const bool is_sign = event && event->type == LayerEvent::Type::kStopSign;
+    const bool check_windows =
+        event && event->type == LayerEvent::Type::kSignal && event->enforce_windows;
+    const double next_limit = ws_.layer_limit_[i + 1];
+    const std::size_t table_base = static_cast<std::size_t>(ws_.layer_class_[i]) * n_v * n_v;
+    const float* energy_table = ws_.grade_energy_.data() + table_base;
+    const float* fused_table = ws_.grade_fused_.data() + table_base;
+    const float* h_next = h + (i + 1) * n_v;
+    float* h_row = h + i * n_v;
+    for (std::size_t j = 0; j < (is_sign ? 1 : n_v); ++j) {
+      float best = kInf;
+      for (std::uint32_t f = ws_.fwd_begin_[j]; f < ws_.fwd_begin_[j + 1]; ++f) {
+        const Fwd hop = ws_.fwd_hops_[f];
+        const std::size_t j2 = hop.j_to;
+        if (static_cast<double>(j2) * res_.dv_ms > next_limit + 1e-9) continue;
+        if (h_next[j2] >= kInf) continue;
+        float hop_cost = fused_table[j * n_v + j2];
+        if (check_windows) {
+          const auto raw = static_cast<double>(energy_table[j * n_v + j2]);
+          hop_cost = std::min(static_cast<float>(penalized_cost(problem_.penalty, raw, true)),
+                              static_cast<float>(penalized_cost(problem_.penalty, raw, false)));
+          hop_cost += static_cast<float>(lambda_ * hop.dt);
+          hop_cost += smooth_by_diff_[j2 >= j ? j2 - j : j - j2];
+        }
+        best = std::min(best, hop_cost + h_next[j2]);
+      }
+      h_row[j] = best;
+    }
+  }
+  if (problem_.bound_fault_inflation != 1.0) {
+    const auto excess = static_cast<float>(problem_.bound_fault_inflation - 1.0);
+    for (float& value : ws_.bound_) {
+      if (value < kInf) value += excess * std::abs(value);
+    }
+  }
+}
+
+std::optional<DpSolution> DpEngine::sweep(std::size_t first_relax, float ub) {
+  const bool faulty = problem_.bound_fault_inflation != 1.0;
+  prune_thresh_ = ub < kInf ? ub + (faulty ? 0.0f : bound_margin(ub)) : kInf;
+
+  // Source state at the departure time (layer 0 cleared first: its source
+  // scan visits every row). A warm run resumes mid-sweep: layers up to and
+  // including first_relax already hold the previous solve's bits.
+  if (first_relax == 0) {
+    for (std::size_t j = 0; j < n_v_; ++j) reset_row(0, j);
+    const std::size_t id = cell_of(j_source_, 0);  // layer 0 base is 0
+    ws_.cost_[id] = 0.0f;
+    ws_.time_[id] = static_cast<float>(problem_.depart_time.value());
+    ws_.back_[id] = kNoPred;
+    ws_.span_[j_source_] = DpWorkspace::RowSpan{0, 1};
+  }
+
+  std::fill(stripe_relaxations_.begin(), stripe_relaxations_.end(), 0);
   bool feasible = true;
   for (std::size_t i = first_relax; i + 1 < n_layers_; ++i) {
     if (!relax_layer(i)) {
@@ -368,28 +541,20 @@ std::optional<DpSolution> DpEngine::run(std::size_t first_relax) {
       break;
     }
   }
-
   for (const std::size_t count : stripe_relaxations_) stats_.relaxations += count;
-
-  // Fleet-level work counters (registry only, never DpStats: the stats struct
-  // is part of the SIMD-vs-scalar bit-identity contract). Pushed even for
-  // infeasible sweeps - the work was still done.
-  static telemetry::Counter& relax_ctr = telemetry::counter("dp.relaxations");
-  static telemetry::Counter& frontier_ctr = telemetry::counter("dp.frontier_states");
-  static telemetry::Counter& pruned_ctr = telemetry::counter("dp.pruned_states");
-  relax_ctr.add(static_cast<long>(stats_.relaxations));
-  frontier_ctr.add(static_cast<long>(stats_.frontier_states));
-  pruned_ctr.add(static_cast<long>(stats_.pruned_states));
-
   if (!feasible) return std::nullopt;
+
+  std::optional<DpSolution> out = extract_solution();
+  if (!out || static_cast<float>(out->stats.best_cost_mah) > ub) return std::nullopt;
+  accepted_ub_ = ub;
   if (problem_.checksum_tables) {
-    // Every cell of every layer was initialized (layer 0 by the full fill,
-    // later layers by the stripes' lazy row resets), so the finite-cell scan
+    // Every cost outside a row's live span is +inf (fresh tables are filled,
+    // and every reset clears the span it empties), so the finite-cell scan
     // never reads stale cost values.
-    stats_.table_checksum = detail::checksum_state_tables(
+    out->stats.table_checksum = detail::checksum_state_tables(
         n_layers_, n_v_, n_t_, ws_.cost_.data(), ws_.time_.data(), ws_.back_.data());
   }
-  return extract_solution();
+  return out;
 }
 
 bool DpEngine::relax_layer(std::size_t i) {
@@ -402,13 +567,15 @@ bool DpEngine::relax_layer(std::size_t i) {
 
   // Dwell expansion: waiting in place at v = 0 (time bins ascending so
   // chains of waits propagate within the layer).
-  for (std::size_t k = 0; k + 1 < n_t_; ++k) {
+  DpWorkspace::RowSpan& stop_span = ws_.span_[i * n_v_];
+  for (std::size_t k = stop_span.lo; k + 1 < n_t_ && k < stop_span.hi; ++k) {
     if (layer_cost[k] >= kInf) continue;
     const float new_cost = layer_cost[k] + idle_step_cost_;
     if (new_cost < layer_cost[k + 1]) {
       layer_cost[k + 1] = new_cost;
       layer_time[k + 1] = layer_time[k] + static_cast<float>(res_.dt_s);
       ws_.back_[base + k + 1] = pack_pred(0, k, /*dwell=*/true);
+      stop_span.hi = std::max(stop_span.hi, static_cast<std::uint32_t>(k + 2));
     }
   }
 
@@ -420,12 +587,16 @@ bool DpEngine::relax_layer(std::size_t i) {
   // window, dominated states are dropped during the same scan: continuous
   // times ascend with the bin inside a row, so a running minimum finds every
   // earlier-and-cheaper dominator. At a stop-sign layer only standstill
-  // states may proceed, so the moving rows are dropped outright.
+  // states may proceed, so the moving rows are dropped outright. Under bound
+  // pruning a state whose cost plus its row's cost-to-go bound exceeds the
+  // sweep's threshold is dropped first (prune_thresh_ is +inf otherwise, and
+  // the row bound 0, so the test never fires).
   const float dwell_f = is_sign ? static_cast<float>(event->dwell_s) : 0.0f;
   const float extra_f = is_sign ? static_cast<float>(idle_mah_s_ * event->dwell_s) : 0.0f;
   const bool check_windows = is_signal && event->enforce_windows;
   const bool prune =
       problem_.dominance_pruning && static_cast<std::ptrdiff_t>(i) > last_window_layer_;
+  const float* bound_row = prune_thresh_ < kInf ? ws_.bound_.data() + i * n_v_ : nullptr;
   ws_.row_begin_.assign(n_v_ + 1, 0);
   const std::size_t j_end = is_sign ? 1 : n_v_;
   // Indexed writes into capacity-sized arrays instead of push_back: the
@@ -452,12 +623,18 @@ bool DpEngine::relax_layer(std::size_t i) {
     const float* row_time = layer_time + j * n_t_;
     float row_min = kInf;
     const bool prune_row = prune && j >= 1;
+    const float row_bound = bound_row ? bound_row[j] : 0.0f;
+    const DpWorkspace::RowSpan span = ws_.span_[i * n_v_ + j];
     if (!check_windows && !is_sign) {
       // Hot variant: no dwell, no window membership; arithmetic is the
       // same `c0 + extra_f` (extra_f == 0 here) so table bits cannot move.
-      for (std::size_t k = 0; k < n_t_; ++k) {
+      for (std::size_t k = span.lo; k < span.hi; ++k) {
         const float c0 = row_cost[k];
         if (c0 >= kInf) continue;
+        if (c0 + row_bound > prune_thresh_) {
+          ++stats_.bound_pruned_states;
+          continue;
+        }
         if (prune_row) {
           if (c0 > row_min + kPruneMargin) {
             ++stats_.pruned_states;
@@ -472,9 +649,13 @@ bool DpEngine::relax_layer(std::size_t i) {
       }
       continue;
     }
-    for (std::size_t k = 0; k < n_t_; ++k) {
+    for (std::size_t k = span.lo; k < span.hi; ++k) {
       const float c0 = row_cost[k];
       if (c0 >= kInf) continue;
+      if (c0 + extra_f + row_bound > prune_thresh_) {
+        ++stats_.bound_pruned_states;
+        continue;
+      }
       if (prune_row) {
         if (c0 > row_min + kPruneMargin) {
           ++stats_.pruned_states;
@@ -528,7 +709,7 @@ bool DpEngine::relax_layer(std::size_t i) {
     const std::size_t j2_end = (s + 1) * n_v_ / n_stripes;
     relax_stripe(i, j2_begin, j2_end, s);
   };
-  if (pool_ && n_stripes > 1) {
+  if (pool_ && n_stripes > 1 && n_src >= kMinParallelSources) {
     pool_->parallel_for(n_stripes, run_stripe);
   } else {
     for (std::size_t s = 0; s < n_stripes; ++s) run_stripe(s);
@@ -583,11 +764,17 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
   std::int32_t k2_buf[2 * Dw];  // == W on vector backends; 2 on scalar (dead path)
 
   // Lazy reset: this stripe owns rows [j2_begin, j2_end) of layer i + 1, so
-  // it clears exactly those before relaxing into them. (No memset: +inf is
-  // not a repeated-byte pattern.)
-  std::fill(cost + j2_begin * n_t_, cost + j2_end * n_t_, kInf);
+  // it clears exactly those rows' live spans before relaxing into them, and
+  // records the span each row's writes cover. (No memset: +inf is not a
+  // repeated-byte pattern.)
+  for (std::size_t j2 = j2_begin; j2 < j2_end; ++j2) reset_row(i + 1, j2);
 
   for (std::size_t j2 = j2_begin; j2 < j2_end; ++j2) {
+    std::uint32_t span_lo = static_cast<std::uint32_t>(n_t_), span_hi = 0;
+    const auto cover = [&span_lo, &span_hi](std::size_t k2) {
+      span_lo = std::min(span_lo, static_cast<std::uint32_t>(k2));
+      span_hi = std::max(span_hi, static_cast<std::uint32_t>(k2 + 1));
+    };
     const double v2 = static_cast<double>(j2) * res_.dv_ms;
     if (v2 > next_limit + 1e-9) continue;
     if (next_is_sign && j2 != 0) continue;       // stop signs: arrive stopped
@@ -596,6 +783,7 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
       const Rev hop = ws_.rev_hops_[h];
       const std::size_t j = hop.j_from;
       if (is_sign && j != 0) continue;  // stop signs are left from standstill
+      if (ws_.row_begin_[j] == ws_.row_begin_[j + 1]) continue;  // no live source
       const float fused = fused_table[j * n_v_ + j2];
       const float raw = energy_table[j * n_v_ + j2];
       const float lambda_dt = static_cast<float>(lambda_ * hop.dt);
@@ -643,6 +831,7 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
               crow[k2] = new_cost;
               trow[k2] = arrive_buf[l];
               brow[k2] = ws_.src_pred_[s + l];
+              cover(k2);
             }
           }
           relaxations += n_ok;
@@ -678,9 +867,11 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
           cost[to] = new_cost;
           time[to] = arrive_t;
           back[to] = ws_.src_pred_[s];
+          cover(k2);
         }
       }
     }
+    if (span_lo < span_hi) ws_.span_[(i + 1) * n_v_ + j2] = DpWorkspace::RowSpan{span_lo, span_hi};
   }
   stripe_relaxations_[stripe] += relaxations;
 
@@ -698,10 +889,99 @@ std::optional<DpSolution> DpEngine::extract_solution() {
   const float* cost = ws_.cost_.data();
   const float* time = ws_.time_.data();
   const std::uint32_t* back = ws_.back_.data();
-  return detail::extract_dp_solution(
-      route_, energy_, event_at_, problem_.events.size(), ds_, res_.dv_ms, n_layers_, n_t_,
-      layer_size_, j_dest_, stats_, [cost](std::size_t id) { return cost[id]; },
-      [time](std::size_t id) { return time[id]; }, [back](std::size_t id) { return back[id]; });
+  const std::size_t n_t = n_t_, layer_size = layer_size_, n_layers = n_layers_;
+
+  // Destination at the terminal speed; among optima prefer the earliest
+  // arrival. (Restructured from the original: skip unreached/infinite cells
+  // up front so the tie-break can never consult an unset best state.)
+  const std::size_t dest_base = (n_layers - 1) * layer_size + j_dest_ * n_t;
+  std::size_t best_k = n_t;
+  float best_cost = kInf;
+  float best_time = 0.0f;
+  for (std::size_t k = 0; k < n_t; ++k) {
+    const std::size_t id = dest_base + k;
+    const float c = cost[id];
+    if (c >= kInf) continue;
+    if (best_k == n_t || c < best_cost - 1e-9f ||
+        (std::abs(c - best_cost) <= 1e-9f && time[id] < best_time)) {
+      best_cost = c;
+      best_k = k;
+      best_time = time[id];
+    }
+  }
+  if (best_k == n_t) return std::nullopt;
+  DpStats stats = stats_;
+  stats.best_cost_mah = static_cast<double>(best_cost);
+
+  // Backtrack.
+  struct RawNode {
+    std::size_t i, j, k;
+  };
+  std::vector<RawNode> chain;
+  std::size_t ci = n_layers - 1;
+  std::size_t cj = j_dest_;
+  std::size_t ck = best_k;
+  while (true) {
+    chain.push_back(RawNode{ci, cj, ck});
+    const std::uint32_t p = back[ci * layer_size + cell_of(cj, ck)];
+    if (p == kNoPred) break;
+    const bool dwell = pred_is_dwell(p);
+    const std::size_t pj = pred_j(p);
+    const std::size_t pk = pred_k(p);
+    if (!dwell) {
+      if (ci == 0) break;
+      --ci;
+    }
+    cj = pj;
+    ck = pk;
+  }
+  std::reverse(chain.begin(), chain.end());
+
+  std::vector<PlanNode> nodes;
+  nodes.reserve(chain.size() + problem_.events.size());
+  for (std::size_t n = 0; n < chain.size(); ++n) {
+    const RawNode& r = chain[n];
+    PlanNode node;
+    node.position_m = static_cast<double>(r.i) * ds_;
+    node.speed_ms = static_cast<double>(r.j) * res_.dv_ms;
+    node.time_s = static_cast<double>(time[r.i * layer_size + cell_of(r.j, r.k)]);
+    // Materialize the mandatory stop-sign dwell as an explicit node so the
+    // time-domain expansion shows the standstill.
+    if (n > 0 && !nodes.empty()) {
+      const RawNode& prev = chain[n - 1];
+      const LayerEvent* pe = event_at_[prev.i];
+      if (pe && pe->type == LayerEvent::Type::kStopSign && prev.i != r.i && pe->dwell_s > 0.0) {
+        PlanNode wait = nodes.back();
+        wait.time_s += pe->dwell_s;
+        nodes.push_back(wait);
+      }
+    }
+    nodes.push_back(node);
+  }
+
+  // Annotate cumulative *physical* charge along the plan (the solver's state
+  // cost additionally carries the time-value term and penalties, which are
+  // optimizer-internal).
+  const double phys_idle_mah_s = ah_to_mah(as_to_ah(energy_.accessory_current_a()));
+  for (std::size_t n = 1; n < nodes.size(); ++n) {
+    PlanNode& cur = nodes[n];
+    const PlanNode& prev = nodes[n - 1];
+    const double dt = cur.time_s - prev.time_s;
+    const double dist = cur.position_m - prev.position_m;
+    double delta = 0.0;
+    if (dist < 1e-9) {
+      delta = phys_idle_mah_s * dt;  // dwell
+    } else {
+      const double v_mid = 0.5 * (prev.speed_ms + cur.speed_ms);
+      const double a = (cur.speed_ms * cur.speed_ms - prev.speed_ms * prev.speed_ms) / (2.0 * dist);
+      const double grade = route_.grade_at(prev.position_m + 0.5 * dist);
+      delta = ah_to_mah(
+          as_to_ah(energy_.current_a(MetersPerSecond(v_mid), MetersPerSecondSquared(a), grade) * dt));
+    }
+    cur.energy_mah = prev.energy_mah + delta;
+  }
+
+  return DpSolution{PlannedProfile(std::move(nodes)), stats};
 }
 
 }  // namespace detail
@@ -737,6 +1017,8 @@ std::optional<DpSolution> solve_dp_incremental(const DpProblem& problem, DpPrevS
     delta = ReplanDelta{ReplanDelta::Path::kCold, 0, "no previous solve"};
   } else if (prev.workspace_serial != workspace.solve_serial()) {
     delta = ReplanDelta{ReplanDelta::Path::kCold, 0, "workspace reused by another solve"};
+  } else if (prev.bound_ub < kInf && !problem.bound_pruning) {
+    delta = ReplanDelta{ReplanDelta::Path::kCold, 0, "tables were bound-pruned"};
   } else {
     delta = classify_replan(prev.key, prev.events, prev.dominance_pruning, problem);
   }
@@ -778,14 +1060,18 @@ std::optional<DpSolution> solve_dp_incremental(const DpProblem& problem, DpPrevS
   detail::DpEngine engine(problem, workspace, pool);
   std::optional<DpSolution> out;
   try {
-    out = engine.run(first_relax);
+    out = engine.run(first_relax, prev.bound_ub);
   } catch (...) {
     prev.reset();
     throw;
   }
+  if (engine.fell_back_cold()) {
+    delta = ReplanDelta{ReplanDelta::Path::kCold, 0, "incumbent bound did not certify"};
+    rs.bound_fallback = true;
+  }
   rs.path = delta.path;
-  rs.first_relax = first_relax;
-  rs.relaxed_layers = rs.total_layers - first_relax;
+  rs.first_relax = delta.first_relax;
+  rs.relaxed_layers = rs.total_layers - delta.first_relax;
   rs.cold_reason = delta.path == ReplanDelta::Path::kCold ? delta.reason : "";
   if (!out.has_value()) {
     // Infeasible sweeps stop mid-suffix, leaving later layers stale; the
@@ -798,6 +1084,7 @@ std::optional<DpSolution> solve_dp_incremental(const DpProblem& problem, DpPrevS
   prev.key = DpProblemKey::of(problem);
   prev.events = problem.events;
   prev.dominance_pruning = problem.dominance_pruning;
+  prev.bound_ub = engine.accepted_ub();
   prev.had_checksum = problem.checksum_tables;
   prev.solution = *out;
   return out;

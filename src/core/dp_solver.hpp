@@ -42,6 +42,13 @@
 //    scatter stays scalar in source order, so the solve (tables, stats,
 //    ties) is bit-identical to the scalar path. DpResolution::simd toggles
 //    the kernel at runtime for differential checking.
+//  - Bound pruning: a backward sweep over (layer, velocity) alone gives a
+//    consistent lower bound h on every state's cost-to-go; a source whose
+//    cost-so-far plus h exceeds an incumbent bound UB is never relaxed. A
+//    pruned sweep is accepted only when its optimum is <= UB, which
+//    certifies that no state of an optimal path was dropped, so cost and
+//    profile equal the unpruned solve's. Otherwise UB is raised over a fixed
+//    schedule, ending in an unpruned sweep (DESIGN.md "Bound pruning").
 #pragma once
 
 #include <cstdint>
@@ -64,7 +71,6 @@ namespace evvo::core {
 
 namespace detail {
 class DpEngine;
-class DpBatchEngine;
 }
 
 /// Grid resolutions of the time-expanded DP.
@@ -136,6 +142,16 @@ struct DpProblem {
   /// unpruned solves agree on the optimal cost.
   bool dominance_pruning = true;
 
+  /// Drop sources that cannot beat the incumbent bound (see the header
+  /// comment). Cost and profile are identical either way; table checksums
+  /// and DpStats work counters match the exhaustive sweep only when off.
+  bool bound_pruning = true;
+
+  /// Oracle self-test seam (`evvo_fuzz --inject bound-inadmissible`): any
+  /// value other than 1 multiplies the cost-to-go bound and drops the pruning
+  /// margin, making the bound inadmissible on purpose. Always 1 otherwise.
+  double bound_fault_inflation = 1.0;
+
   /// Checksum the final state tables into DpStats::table_checksum (see
   /// dp_common.hpp). Off by default: the scan touches the whole grid, which
   /// the lazy-reset data path otherwise avoids. The check harness uses it to
@@ -154,6 +170,11 @@ struct [[nodiscard]] DpStats {
   std::size_t relaxations = 0;
   std::size_t frontier_states = 0;  ///< live states expanded across all layers
   std::size_t pruned_states = 0;    ///< states dropped by dominance pruning
+  std::size_t bound_pruned_states = 0;  ///< sources dropped by bound pruning
+  std::size_t bound_attempts = 0;   ///< sweeps run under bound pruning (0 = off)
+  /// Cost-to-go lower bound at the source state (0 when bound pruning is
+  /// off); never above best_cost_mah for an admissible bound.
+  double bound_mah = 0.0;
   double best_cost_mah = 0.0;
   /// FNV checksum of the reachable state tables (0 unless
   /// DpProblem::checksum_tables was set).
@@ -171,9 +192,9 @@ struct [[nodiscard]] DpSolution {
 /// The state tables are the dominant per-solve cost of the naive solver
 /// (three multi-megabyte allocations plus an O(N) infinity fill). A
 /// workspace keeps them allocated across solves and skips the grid-wide
-/// clear: each destination row is reset to +inf by the stripe that relaxes
-/// into it, and time_/back_ are only ever read behind a finite cost, so no
-/// cell is ever read stale. The model tables (feasible hops
+/// clear: each destination row's live span is reset to +inf by the stripe
+/// that relaxes into it, and time_/back_ are only ever read behind a finite
+/// cost, so no cell is ever read stale. The model tables (feasible hops
 /// per velocity level, per-grade-class transition costs) are cached across
 /// solves and rebuilt only when the route geometry, energy model, or
 /// resolution fingerprint changes - a PlanService miss storm on one corridor
@@ -198,10 +219,12 @@ class UninitBuffer {
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
   std::size_t size() const { return size_; }
-  void grow_to(std::size_t n) {
-    if (n <= size_) return;
+  /// True when the buffer was reallocated (its contents are then garbage).
+  bool grow_to(std::size_t n) {
+    if (n <= size_) return false;
     data_ = std::make_unique_for_overwrite<T[]>(n);
     size_ = n;
+    return true;
   }
 
  private:
@@ -232,7 +255,6 @@ class DpWorkspace {
 
  private:
   friend class detail::DpEngine;
-  friend class detail::DpBatchEngine;
 
   struct FwdHop {
     std::uint32_t j_to = 0;
@@ -271,6 +293,18 @@ class DpWorkspace {
   detail::UninitBuffer<float> time_;
   detail::UninitBuffer<std::uint32_t> back_;
 
+  /// Time bins [lo, hi) of one (layer, velocity) row that may hold a finite
+  /// cost; every cost outside it is +inf. Resets, source scans and dwell
+  /// chains touch only these spans, so a sweep's memory traffic follows the
+  /// live region instead of the whole grid.
+  struct RowSpan {
+    std::uint32_t lo = 0, hi = 0;
+  };
+  std::vector<RowSpan> span_;  ///< per row, layer-major
+  /// Table layout the spans describe; rows of layers >= span_layers_ are
+  /// not yet +inf-filled.
+  std::size_t span_nv_ = 0, span_nt_ = 0, span_layers_ = 0;
+
   // --- per-layer scratch: compact source list in (j, k)-lex order ---
   std::vector<std::uint32_t> src_pred_;     ///< packed backpointer (j << 20 | k)
   std::vector<float> src_cost_;             ///< cost + mandatory-stop charge
@@ -278,27 +312,16 @@ class DpWorkspace {
   std::vector<std::uint8_t> src_inside_;    ///< inside the signal window T_q
   std::vector<std::uint32_t> row_begin_;    ///< n_v + 1 offsets into the source list
 
-  // --- batched (SoA) solver storage: lane-interleaved state tables plus the
-  // union-frontier scratch of core/dp_batch.cpp. Kept alongside the
-  // single-scenario tables so a pooled workspace serves either entry point
-  // without reallocating; unused (and unsized) until the first batch solve.
-  struct BatchScratch {
-    detail::UninitBuffer<float> cost;           ///< [state * lanes + lane]
-    detail::UninitBuffer<float> time;
-    detail::UninitBuffer<std::uint32_t> back;
-    std::vector<std::uint32_t> src_pred;        ///< shared packed backpointer per entry
-    std::vector<float> src_cost;                ///< [entry * lanes + lane]
-    std::vector<float> src_time;
-    std::vector<std::uint32_t> src_kept;        ///< per-entry live-lane bitmask
-    std::vector<std::uint32_t> src_inside;      ///< per-entry inside-T_q lane bitmask
-    std::vector<std::uint32_t> row_begin;
-  };
-  BatchScratch batch_;
+  // --- cost-to-go bound [layer][velocity] of the last run, and the one
+  // before it (a warm resume compares their prefixes) ---
+  std::vector<float> bound_;
+  std::vector<float> bound_prev_;
+
+  /// Size the state tables for an (n_layers x n_v x n_t) grid, +inf-filling
+  /// whatever the row spans do not yet describe.
+  void ensure_state_tables(std::size_t n_layers, std::size_t n_v, std::size_t n_t);
 
   /// Build (or reuse) the cached model tables for the given grid geometry.
-  /// Shared by the single-scenario engine and the batched SoA engine: both
-  /// must see the identical fused-cost bits for the identity contract to
-  /// hold, so there is exactly one builder.
   void ensure_model_tables(const road::Route& route, const ev::EnergyModel& energy,
                            const DpResolution& res, double lambda, double smoothness, double ds,
                            std::size_t n_hops, std::size_t n_layers, std::size_t n_v);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/math_util.hpp"
 #include "common/mutex.hpp"
@@ -141,8 +142,36 @@ DpProblem make_problem(const road::Route& route, const ev::EnergyModel& energy,
   problem.time_weight_mah_per_s = config.time_weight_mah_per_s;
   problem.smoothness_weight_mah_per_ms = config.smoothness_weight_mah_per_ms;
   problem.dominance_pruning = config.dominance_pruning;
+  problem.bound_pruning = config.bound_pruning;
   problem.events = std::move(events);
   return problem;
+}
+
+/// Boundary check of every public entry point: a NaN or infinite clock or
+/// state would otherwise reach the event builder and the solver's integer
+/// time binning.
+void require_finite(const char* what, double value) {
+  if (!std::isfinite(value))
+    throw std::invalid_argument(std::string("VelocityPlanner: non-finite ") + what);
+}
+
+/// Shared by replan() and plan_batch(): the corridor suffix a mid-route
+/// replan solves over, with elements closer than one grid step dropped as
+/// already passed (they would otherwise snap to the boundary layer).
+road::Corridor replan_suffix(const road::Corridor& corridor, const PlannerConfig& config,
+                             double position_m, double speed_ms, double time_s) {
+  require_finite("position", position_m);
+  require_finite("speed", speed_ms);
+  require_finite("time", time_s);
+  if (position_m < 0.0 || position_m >= corridor.length())
+    throw std::invalid_argument("VelocityPlanner::replan: position outside the corridor");
+  road::Corridor rest = road::corridor_suffix(corridor, position_m);
+  const double too_close = config.resolution.ds_m * 1.5;
+  std::erase_if(rest.lights,
+                [&](const road::TrafficLight& l) { return l.position() < too_close; });
+  std::erase_if(rest.stop_signs,
+                [&](const road::StopSign& s) { return s.position_m < too_close; });
+  return rest;
 }
 
 }  // namespace
@@ -176,6 +205,7 @@ std::optional<DpSolution> VelocityPlanner::solve_problem(const DpProblem& proble
 DpSolution VelocityPlanner::plan_with_stats(
     Seconds depart_time, std::shared_ptr<const traffic::ArrivalRateProvider> arrivals) const {
   const double depart_time_s = depart_time.value();  // .value() seam
+  require_finite("departure time", depart_time_s);
   DpProblem problem = make_problem(corridor_.route, energy_, config_, depart_time_s,
                                    build_events_for(corridor_, config_, depart_time_s, arrivals));
   auto solution = solve_problem(problem);
@@ -195,17 +225,8 @@ PlannedProfile VelocityPlanner::replan(
   const double position_m = position.value();  // .value() seam
   const double speed_ms = speed.value();
   const double time_s = time.value();
-  if (position_m < 0.0 || position_m >= corridor_.length())
-    throw std::invalid_argument("VelocityPlanner::replan: position outside the corridor");
-  road::Corridor rest = road::corridor_suffix(corridor_, position_m);
-  // Elements closer than one grid step count as already passed (they would
-  // otherwise snap to the boundary layer).
-  const double too_close = config_.resolution.ds_m * 1.5;
-  std::erase_if(rest.lights,
-                [&](const road::TrafficLight& l) { return l.position() < too_close; });
-  std::erase_if(rest.stop_signs,
-                [&](const road::StopSign& s) { return s.position_m < too_close; });
   // Signal offsets are absolute times; nothing to shift there.
+  road::Corridor rest = replan_suffix(corridor_, config_, position_m, speed_ms, time_s);
 
   DpProblem problem = make_problem(rest.route, energy_, config_, time_s,
                                    build_events_for(rest, config_, time_s, arrivals));
@@ -235,19 +256,13 @@ std::vector<PlanBatchResult> VelocityPlanner::plan_batch(
     const PlanJob& job = jobs[i];
     try {
       if (!job.replan) {
+        require_finite("departure time", job.depart_time_s);
         problems.push_back(
             make_problem(corridor_.route, energy_, config_, job.depart_time_s,
                          build_events_for(corridor_, config_, job.depart_time_s, arrivals)));
       } else {
-        if (job.position_m < 0.0 || job.position_m >= corridor_.length())
-          throw std::invalid_argument("VelocityPlanner::replan: position outside the corridor");
-        auto rest = std::make_unique<road::Corridor>(
-            road::corridor_suffix(corridor_, job.position_m));
-        const double too_close = config_.resolution.ds_m * 1.5;
-        std::erase_if(rest->lights,
-                      [&](const road::TrafficLight& l) { return l.position() < too_close; });
-        std::erase_if(rest->stop_signs,
-                      [&](const road::StopSign& s) { return s.position_m < too_close; });
+        auto rest = std::make_unique<road::Corridor>(replan_suffix(
+            corridor_, config_, job.position_m, job.speed_ms, job.depart_time_s));
         DpProblem problem =
             make_problem(rest->route, energy_, config_, job.depart_time_s,
                          build_events_for(*rest, config_, job.depart_time_s, arrivals));

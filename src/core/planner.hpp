@@ -67,6 +67,8 @@ struct PlannerConfig {
   double smoothness_weight_mah_per_ms = 0.3;
   /// Dominance pruning toggle (see DpProblem::dominance_pruning).
   bool dominance_pruning = true;
+  /// Bound pruning toggle (see DpProblem::bound_pruning).
+  bool bound_pruning = true;
 };
 
 /// The planner owns a small runtime shared by all copies of itself: a
@@ -91,7 +93,8 @@ class VelocityPlanner {
       Seconds depart_time, std::shared_ptr<const traffic::ArrivalRateProvider> arrivals) const;
 
   /// Plans the full trip (source and destination at rest, Eq. 7d). Throws
-  /// std::runtime_error if no feasible trajectory exists within the horizon.
+  /// std::runtime_error if no feasible trajectory exists within the horizon
+  /// and std::invalid_argument for a non-finite departure time.
   [[nodiscard]] PlannedProfile plan(Seconds depart_time,
                       std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
 
@@ -108,15 +111,13 @@ class VelocityPlanner {
   [[nodiscard]] PlannedProfile replan(Meters position, MetersPerSecond speed, Seconds time,
                         std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
 
-  /// Solves many independent jobs in one pass, batching compatible solver
-  /// runs through the SoA multi-scenario kernel (core/dp_batch.hpp): jobs
-  /// sharing a grid shape and event skeleton - e.g. full-trip plans at
-  /// different departure times, or replans from the same layer - pack K per
-  /// vector sweep. Results are in job order and each lane is bit-identical
-  /// to the corresponding plan()/replan() call; per-job failures surface in
-  /// PlanBatchResult::error instead of throwing, so one bad job cannot void
-  /// the batch. Every job solves cold (batch lanes carry no warm-start
-  /// state); single-job callers should prefer plan()/replan().
+  /// Solves many independent jobs in one pass through solve_dp_batch
+  /// (core/dp_batch.hpp) over the planner's pooled workspaces. Results are in
+  /// job order and each is bit-identical to the corresponding plan()/replan()
+  /// call; per-job failures surface in PlanBatchResult::error instead of
+  /// throwing, so one bad job cannot void the batch. Every job solves cold
+  /// (batched jobs carry no warm-start state); single-job callers should
+  /// prefer plan()/replan().
   [[nodiscard]] std::vector<PlanBatchResult> plan_batch(
       std::span<const PlanJob> jobs,
       std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;

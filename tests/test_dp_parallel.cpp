@@ -170,9 +170,8 @@ void write_golden(const Us25Golden& golden) {
   out << "best_cost_bits " << golden.best_cost_bits << "\n";
 }
 
-TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossThreadsAndPruning) {
-  const road::Corridor corridor = road::make_us25_corridor();
-  ev::EnergyModel energy;
+/// The pinned US-25 solve: queue-aware windows at 600 veh/h, departing 60 s.
+DpProblem us25_golden_problem(const road::Corridor& corridor, const ev::EnergyModel& energy) {
   PlannerConfig cfg;
   cfg.policy = SignalPolicy::kQueueAware;
   cfg.resolution.ds_m = 15.0;
@@ -190,7 +189,15 @@ TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossThreadsAndPruning) {
   problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
   problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
   problem.events = planner.build_events(Seconds(problem.depart_time.value()), arrivals);
+  return problem;
+}
+
+TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossThreadsAndPruning) {
+  const road::Corridor corridor = road::make_us25_corridor();
+  ev::EnergyModel energy;
+  DpProblem problem = us25_golden_problem(corridor, energy);
   problem.checksum_tables = true;
+  problem.bound_pruning = false;  // the pinned checksums are the exhaustive tables'
 
   common::ThreadPool pool(8);
   DpWorkspace workspace;
@@ -240,6 +247,33 @@ TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossThreadsAndPruning) {
   EXPECT_EQ(computed.pruned_checksum, golden->pruned_checksum);
   EXPECT_EQ(computed.profile_hash, golden->profile_hash);
   EXPECT_EQ(computed.best_cost_bits, golden->best_cost_bits);
+}
+
+TEST(Us25GoldenChecksum, BoundPruningKeepsThePinnedProfileAndCost) {
+  // Bound pruning changes the tables (and so their checksums) but, by its
+  // certification rule, never the optimum: profile and cost stay pinned.
+  const road::Corridor corridor = road::make_us25_corridor();
+  ev::EnergyModel energy;
+  DpProblem problem = us25_golden_problem(corridor, energy);
+  const std::optional<Us25Golden> golden = read_golden();
+  ASSERT_TRUE(golden.has_value());
+  common::ThreadPool pool(4);
+  DpWorkspace workspace;
+  for (const bool pruning : {false, true}) {
+    problem.dominance_pruning = pruning;
+    for (unsigned threads : {1u, 4u}) {
+      problem.resolution.threads = threads;
+      const auto solution = solve_dp(problem, workspace, threads == 1 ? nullptr : &pool);
+      ASSERT_TRUE(solution.has_value());
+      std::uint64_t cost_bits = 0;
+      std::memcpy(&cost_bits, &solution->stats.best_cost_mah, sizeof cost_bits);
+      EXPECT_EQ(hash_profile(solution->profile), golden->profile_hash)
+          << "pruning=" << pruning << " threads=" << threads;
+      EXPECT_EQ(cost_bits, golden->best_cost_bits);
+      EXPECT_GE(solution->stats.bound_attempts, 1u);
+      EXPECT_LE(solution->stats.bound_mah, solution->stats.best_cost_mah);
+    }
+  }
 }
 
 TEST(DpWorkspace, ReuseAcrossSolvesAndProblems) {

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "ev/energy_model.hpp"
 #include "road/corridor.hpp"
@@ -146,6 +148,22 @@ TEST(PlanService, ReplanValidatesPosition) {
   PlanService service(make_planner(), demand(765.0));
   EXPECT_THROW((void)service.request_replan({1, -1.0, 10.0, 0.0}), std::invalid_argument);
   EXPECT_THROW((void)service.request_replan({1, 4200.0, 10.0, 0.0}), std::invalid_argument);
+}
+
+TEST(PlanService, RejectsNonFiniteRequests) {
+  // A NaN departure used to hang the solver right after a normal request.
+  PlanService service(make_planner(), demand(765.0));
+  (void)service.request_plan({1, 0.0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)service.request_plan({2, nan}), std::invalid_argument);
+  EXPECT_THROW((void)service.request_plan({3, inf}), std::invalid_argument);
+  EXPECT_THROW((void)service.request_plan({4, -inf}), std::invalid_argument);
+  EXPECT_THROW((void)service.request_replan({5, nan, 10.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)service.request_replan({6, 100.0, inf, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)service.request_replan({7, 100.0, 10.0, nan}), std::invalid_argument);
+  const std::vector<PlanRequest> batch{{8, 0.0}, {9, nan}};
+  EXPECT_THROW((void)service.request_plans(batch), std::invalid_argument);
 }
 
 TEST(PlanService, BatchReplansCoalesceOntoOneSolve) {

@@ -232,7 +232,7 @@ TEST(PlanServiceConcurrent, TicketBatchMissStormSolvesBatchedPerCaller) {
   // three plan batches (six distinct phase bins apiece, one in-batch repeat)
   // and one replan batch (six distinct quantized states). Every batch is all
   // misses, so each caller drives serve_batch's grouped admission and the
-  // batched SoA solver run concurrently with the others - the pooled
+  // batched solver run concurrently with the others - the pooled
   // workspaces, batch telemetry histograms, and shard counters all see
   // cross-thread traffic under TSan. Single-flight still bounds the solves
   // to one per distinct key, and the in-batch repeat must coalesce onto its

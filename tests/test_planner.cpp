@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "ev/energy_model.hpp"
 #include "road/corridor.hpp"
@@ -141,6 +144,52 @@ TEST(Planner, DepartureTimeShiftsPlanTimes) {
   const PlannedProfile later = planner.plan(Seconds(500.0));
   EXPECT_DOUBLE_EQ(later.depart_time(), 500.0);
   EXPECT_GT(later.arrival_time(), 500.0);
+}
+
+TEST(Planner, RejectsNonFiniteClockAndState) {
+  // Used to hang the solver's horizon search (NaN, +inf) or cast garbage into
+  // time bins; every public entry point now throws instead.
+  const VelocityPlanner planner(road::make_us25_corridor(), ev::EnergyModel{},
+                                config_for(SignalPolicy::kQueueAware));
+  const auto arrivals = demand(765.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double t : {nan, inf, -inf}) {
+    EXPECT_THROW((void)planner.plan(Seconds(t), arrivals), std::invalid_argument) << t;
+    EXPECT_THROW((void)planner.replan(Meters(100.0), MetersPerSecond(5.0), Seconds(t), arrivals),
+                 std::invalid_argument)
+        << t;
+    EXPECT_THROW((void)planner.replan(Meters(t), MetersPerSecond(5.0), Seconds(0.0), arrivals),
+                 std::invalid_argument)
+        << t;
+    EXPECT_THROW((void)planner.replan(Meters(100.0), MetersPerSecond(t), Seconds(0.0), arrivals),
+                 std::invalid_argument)
+        << t;
+  }
+  const std::vector<PlanJob> jobs{{false, nan, 0.0, 0.0}, {true, 0.0, 100.0, inf}};
+  for (const PlanBatchResult& result : planner.plan_batch(jobs, arrivals)) {
+    ASSERT_TRUE(result.error != nullptr);
+    EXPECT_THROW(std::rethrow_exception(result.error), std::invalid_argument);
+  }
+}
+
+TEST(Planner, BoundPruningKeepsTheExhaustivePlan) {
+  PlannerConfig cfg = config_for(SignalPolicy::kQueueAware);
+  const VelocityPlanner pruned(road::make_us25_corridor(), ev::EnergyModel{}, cfg);
+  cfg.bound_pruning = false;
+  const VelocityPlanner exhaustive(road::make_us25_corridor(), ev::EnergyModel{}, cfg);
+  const auto arrivals = demand(765.0);
+  const DpSolution a = pruned.plan_with_stats(Seconds(30.0), arrivals);
+  const DpSolution b = exhaustive.plan_with_stats(Seconds(30.0), arrivals);
+  EXPECT_EQ(a.stats.best_cost_mah, b.stats.best_cost_mah);
+  ASSERT_EQ(a.profile.nodes().size(), b.profile.nodes().size());
+  for (std::size_t i = 0; i < a.profile.nodes().size(); ++i) {
+    EXPECT_EQ(a.profile.nodes()[i].time_s, b.profile.nodes()[i].time_s) << i;
+    EXPECT_EQ(a.profile.nodes()[i].speed_ms, b.profile.nodes()[i].speed_ms) << i;
+  }
+  EXPECT_LT(a.stats.relaxations, b.stats.relaxations);
+  EXPECT_GT(a.stats.bound_pruned_states, 0u);
+  EXPECT_EQ(b.stats.bound_attempts, 0u);
 }
 
 }  // namespace

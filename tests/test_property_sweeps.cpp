@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "core/dp_solver.hpp"
 #include "ev/energy_model.hpp"
@@ -143,6 +144,11 @@ struct SimCase {
   std::uint64_t seed;
   sim::CarFollowing model;
 };
+// Names the case by its fields: gtest's default byte dump would include the
+// struct's padding, which is uninitialised and differs from run to run.
+void PrintTo(const SimCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << (c.model == sim::CarFollowing::kKrauss ? "_krauss" : "_idm");
+}
 class SimSweep : public ::testing::TestWithParam<SimCase> {};
 TEST_P(SimSweep, SafeAndConservative) {
   const auto [seed, model] = GetParam();

@@ -32,6 +32,7 @@ TEST_P(ReferenceAgreement, MatchesProductionBitForBit) {
   const Scenario scenario(spec);
   core::DpProblem problem = scenario.problem();
   problem.dominance_pruning = false;
+  problem.bound_pruning = false;  // table checksums match only the exhaustive sweep
   problem.checksum_tables = true;
 
   const auto production = core::solve_dp(problem);

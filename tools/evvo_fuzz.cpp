@@ -11,7 +11,8 @@
 //   evvo_fuzz --inject window-shift     # prove the harness catches a fault
 //   evvo_fuzz --replay-spec bad.spec    # re-check a shrunk spec file
 //   evvo_fuzz --simd-only --count 100   # cheap vector-vs-scalar identity sweep
-//   evvo_fuzz --replan --count 100      # warm-vs-cold replan identity chains
+//   evvo_fuzz --bound-only --count 25   # bound-pruned vs exhaustive solve contract
+//   evvo_fuzz --replan --count 100      # warm-vs-cold replan chains, exact and bound-pruned
 //   evvo_fuzz --batch --count 100       # batched-vs-standalone solve identity
 #include <atomic>
 #include <cstdint>
@@ -41,6 +42,7 @@ struct Options {
   bool replay = true;
   bool reference = true;
   bool simd_only = false;  ///< strip everything but the simd-vs-scalar oracle
+  bool bound_only = false; ///< strip everything but the bound-pruning contract
   bool replan = false;     ///< run perturbation-chain warm-vs-cold identity instead
   bool batch = false;      ///< run batched-vs-standalone solve identity instead
   std::size_t replan_steps = 8;
@@ -52,9 +54,11 @@ struct Options {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--count N] [--seed N] [--seed-start N] [--jobs N]\n"
-               "          [--inject none|window-shift|accel-tamper|energy-tamper|cost-tamper]\n"
+               "          [--inject none|window-shift|accel-tamper|energy-tamper|cost-tamper|\n"
+               "                    bound-inadmissible]\n"
                "          [--replay-spec FILE] [--spec-out FILE] [--no-shrink] [--no-replay]\n"
-               "          [--no-reference] [--simd-only] [--replan] [--replan-steps N] [--batch]\n",
+               "          [--no-reference] [--simd-only] [--bound-only] [--replan]\n"
+               "          [--replan-steps N] [--batch]\n",
                argv0);
   return 2;
 }
@@ -99,6 +103,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.reference = false;
     } else if (arg == "--simd-only") {
       opt.simd_only = true;
+    } else if (arg == "--bound-only") {
+      opt.bound_only = true;
     } else if (arg == "--replan") {
       opt.replan = true;
     } else if (arg == "--batch") {
@@ -129,30 +135,40 @@ int main(int argc, char** argv) {
   }
   // --replan: warm-vs-cold identity over perturbation chains, the incremental
   // solver's oracle (src/check/replan_chain.hpp) instead of the scenario
-  // battery. Any --inject value maps to the chain's tamper self-test.
+  // battery. Every seed runs two chains: exhaustive sweeps compared table by
+  // table, and bound-pruned sweeps compared by cost and profile. Any
+  // --inject value maps to the chains' tamper self-test.
   if (opt.replan) {
     evvo::check::ReplanChainOptions chain;
     chain.steps = opt.replan_steps;
     chain.tamper = check.inject != evvo::check::Fault::kNone;
+    evvo::check::ReplanChainOptions bound_chain = chain;
+    bound_chain.bound_pruning = true;
     if (opt.single_seed) {
-      const evvo::check::ReplanChainReport report =
-          evvo::check::check_replan_chain(*opt.single_seed, chain);
-      std::printf("%s", evvo::check::replan_report_to_string(report).c_str());
-      return report.ok() ? 0 : 1;
+      bool ok = true;
+      for (const evvo::check::ReplanChainOptions& o : {chain, bound_chain}) {
+        const evvo::check::ReplanChainReport report =
+            evvo::check::check_replan_chain(*opt.single_seed, o);
+        std::printf("%s", evvo::check::replan_report_to_string(report).c_str());
+        ok = ok && report.ok();
+      }
+      return ok ? 0 : 1;
     }
     const unsigned chain_jobs =
         std::max(1u, opt.jobs ? opt.jobs : evvo::common::ThreadPool::resolve_threads(0) / 2);
     evvo::common::ThreadPool chain_pool(chain_jobs);
     std::atomic<std::size_t> chain_failures{0};
-    std::atomic<std::size_t> spliced{0}, striped{0}, cold{0}, relaxed{0}, total{0};
+    std::atomic<std::size_t> spliced{0}, striped{0}, cold{0}, fallbacks{0}, relaxed{0}, total{0};
     std::mutex chain_io;
     const std::uint64_t t0 = evvo::common::now_ns();
-    chain_pool.parallel_for(opt.count, [&](std::size_t index) {
-      const std::uint64_t seed = opt.seed_start + index;
-      const evvo::check::ReplanChainReport report = evvo::check::check_replan_chain(seed, chain);
+    chain_pool.parallel_for(2 * opt.count, [&](std::size_t index) {
+      const std::uint64_t seed = opt.seed_start + index / 2;
+      const evvo::check::ReplanChainReport report =
+          evvo::check::check_replan_chain(seed, index % 2 == 0 ? chain : bound_chain);
       spliced.fetch_add(report.spliced_steps, std::memory_order_relaxed);
       striped.fetch_add(report.striped_steps, std::memory_order_relaxed);
       cold.fetch_add(report.cold_steps, std::memory_order_relaxed);
+      fallbacks.fetch_add(report.bound_fallbacks, std::memory_order_relaxed);
       relaxed.fetch_add(report.relaxed_layers, std::memory_order_relaxed);
       total.fetch_add(report.total_layers, std::memory_order_relaxed);
       if (report.ok()) return;
@@ -164,10 +180,10 @@ int main(int argc, char** argv) {
     });
     const double chain_s = evvo::common::seconds_between_ns(t0, evvo::common::now_ns());
     std::printf(
-        "%zu replan chain(s) checked in %.1f s (%zu spliced / %zu striped / %zu cold steps; "
-        "warm relaxed %zu/%zu layers), %zu violation(s)\n",
-        opt.count, chain_s, spliced.load(), striped.load(), cold.load(), relaxed.load(),
-        total.load(), chain_failures.load());
+        "%zu replan chain(s) checked in %.1f s (%zu spliced / %zu striped / %zu cold steps, "
+        "%zu bound fallbacks; warm relaxed %zu/%zu layers), %zu violation(s)\n",
+        2 * opt.count, chain_s, spliced.load(), striped.load(), cold.load(), fallbacks.load(),
+        relaxed.load(), total.load(), chain_failures.load());
     return chain_failures.load() == 0 ? 0 : 1;
   }
 
@@ -187,7 +203,7 @@ int main(int argc, char** argv) {
         std::max(1u, opt.jobs ? opt.jobs : evvo::common::ThreadPool::resolve_threads(0) / 2);
     evvo::common::ThreadPool batch_pool(batch_jobs);
     std::atomic<std::size_t> batch_failures{0};
-    std::atomic<std::size_t> lanes{0}, batched{0}, fallback{0}, infeasible_lanes{0};
+    std::atomic<std::size_t> lanes{0}, infeasible_lanes{0};
     std::mutex batch_io;
     const std::uint64_t t0 = evvo::common::now_ns();
     batch_pool.parallel_for(opt.count, [&](std::size_t index) {
@@ -195,8 +211,6 @@ int main(int argc, char** argv) {
       const evvo::check::BatchIdentityReport report =
           evvo::check::check_batch_identity(seed, batch_opt);
       lanes.fetch_add(report.lanes, std::memory_order_relaxed);
-      batched.fetch_add(report.batched_lanes, std::memory_order_relaxed);
-      fallback.fetch_add(report.fallback_lanes, std::memory_order_relaxed);
       infeasible_lanes.fetch_add(report.infeasible_lanes, std::memory_order_relaxed);
       if (report.ok()) return;
       batch_failures.fetch_add(1, std::memory_order_relaxed);
@@ -207,10 +221,8 @@ int main(int argc, char** argv) {
     });
     const double batch_s = evvo::common::seconds_between_ns(t0, evvo::common::now_ns());
     std::printf(
-        "%zu batch(es) checked in %.1f s (%zu lanes: %zu batched / %zu fallback / "
-        "%zu infeasible), %zu violation(s)\n",
-        opt.count, batch_s, lanes.load(), batched.load(), fallback.load(),
-        infeasible_lanes.load(), batch_failures.load());
+        "%zu batch(es) checked in %.1f s (%zu problems, %zu infeasible), %zu violation(s)\n",
+        opt.count, batch_s, lanes.load(), infeasible_lanes.load(), batch_failures.load());
     return batch_failures.load() == 0 ? 0 : 1;
   }
 
@@ -223,6 +235,14 @@ int main(int argc, char** argv) {
     // byproducts of the solves the identity check needs anyway.
     check.run_reference = false;
     check.run_replay = false;
+    check.thread_counts.clear();
+  }
+  if (opt.bound_only) {
+    // Bound-pruning contract sweep: the exhaustive solves it compares
+    // against, and nothing else.
+    check.run_reference = false;
+    check.run_replay = false;
+    check.run_simd_identity = false;
     check.thread_counts.clear();
   }
 

@@ -275,11 +275,37 @@ std::optional<StatFile> load_file(const std::string& path) {
 
 // --- rendering -------------------------------------------------------------
 
+/// DP bound pruning at a glance: how many gathered sources the cost-to-go
+/// bound dropped, and how many sweeps a certified solve took on average.
+void print_bound_pruning(const StatFile& snap) {
+  const auto counter = [&snap](const char* name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0L : it->second;
+  };
+  const auto solves = [&snap](const char* name) {
+    const auto it = snap.histograms.find(name);
+    return it == snap.histograms.end() ? 0.0 : static_cast<double>(it->second.count);
+  };
+  const long attempts = counter("dp.bound_attempts");
+  if (attempts == 0) return;
+  const long pruned = counter("dp.bound_pruned_states");
+  const double gathered = static_cast<double>(pruned + counter("dp.frontier_states"));
+  const double runs = solves("dp.solve_cold_ns") + solves("dp.solve_warm_ns");
+  std::printf("dp bound pruning:\n");
+  std::printf("  %-52s %14ld\n", "dp.bound_pruned_states", pruned);
+  std::printf("  %-52s %14ld\n", "dp.bound_attempts", attempts);
+  std::printf("  %-52s %14.3f\n", "pruned share of gathered sources",
+              gathered > 0.0 ? static_cast<double>(pruned) / gathered : 0.0);
+  if (runs > 0.0)
+    std::printf("  %-52s %14.2f\n", "sweeps per solve", static_cast<double>(attempts) / runs);
+}
+
 void print_snapshot(const StatFile& snap) {
   if (!snap.counters.empty()) {
     std::printf("counters:\n");
     for (const auto& [name, v] : snap.counters) std::printf("  %-52s %14ld\n", name.c_str(), v);
   }
+  print_bound_pruning(snap);
   if (!snap.gauges.empty()) {
     std::printf("gauges:\n");
     for (const auto& [name, v] : snap.gauges) std::printf("  %-52s %14ld\n", name.c_str(), v);
