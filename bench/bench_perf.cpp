@@ -11,10 +11,8 @@
 #include "cloud/plan_service.hpp"
 #include "common/simd.hpp"
 #include "common/telemetry.hpp"
-#include "core/dp_batch.hpp"
 #include "core/dp_replan.hpp"
 #include "core/planner.hpp"
-#include "core/workspace_pool.hpp"
 #include "data/synthetic_volume.hpp"
 #include "ev/energy_model.hpp"
 #include "learn/sae.hpp"
@@ -88,75 +86,6 @@ void BM_DpSolveCorridorParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_DpSolveCorridorParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-
-/// K phase-staggered cold solves of the US-25 corridor: identical grid and
-/// event skeleton, per-scenario departure times and T_q windows - the
-/// multi-scenario workload the SoA batch kernel packs lane-interleaved into
-/// one sweep. Shared by the gate pair below.
-struct BatchWorkload {
-  road::Corridor corridor = road::make_us25_corridor();
-  ev::EnergyModel energy;
-  std::vector<core::DpProblem> problems;
-
-  explicit BatchWorkload(int k) {
-    core::PlannerConfig cfg;
-    cfg.policy = core::SignalPolicy::kQueueAware;
-    const core::VelocityPlanner planner(corridor, energy, cfg);
-    const auto arrivals =
-        std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0));
-    for (int i = 0; i < k; ++i) {
-      const double depart_s = 11.0 * i;  // staggered phases, same skeleton
-      core::DpProblem p;
-      p.route = &corridor.route;
-      p.energy = &energy;
-      p.depart_time = Seconds(depart_s);
-      p.resolution = cfg.resolution;
-      p.resolution.threads = 1;
-      p.penalty = cfg.penalty;
-      p.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
-      p.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
-      p.events = planner.build_events(Seconds(depart_s), arrivals);
-      problems.push_back(std::move(p));
-    }
-  }
-};
-
-void BM_DpBatchSolve(benchmark::State& state) {
-  // Gate pair: BM_DpBatchSolve/8 against BM_DpBatchSolveSequential/8
-  // (byte-identical problems, one solve_dp each). Steady-state serving shape:
-  // the pool persists across batches in PlanService, so one untimed batch
-  // first-touches the pooled tables and later iterations measure the solves
-  // themselves.
-  const BatchWorkload w(static_cast<int>(state.range(0)));
-  core::WorkspacePool pool;
-  core::DpBatchStats stats;
-  benchmark::DoNotOptimize(core::solve_dp_batch(w.problems, pool, nullptr, &stats));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_dp_batch(w.problems, pool, nullptr, &stats));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(std::to_string(stats.solves) + " solves in " + std::to_string(stats.groups) +
-                 " group(s)");
-}
-BENCHMARK(BM_DpBatchSolve)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_DpBatchSolveSequential(benchmark::State& state) {
-  // The baseline the batch kernel is measured against: the same K scenarios
-  // solved back to back, each on a workspace minted for it - what a
-  // distinct-key miss storm paid per request before the batch path, when the
-  // pool has no warm entry for the corridor (allocation, model-table build,
-  // table first-touch, then the cold sweep).
-  const BatchWorkload w(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    for (const core::DpProblem& p : w.problems) {
-      core::DpWorkspace workspace;
-      benchmark::DoNotOptimize(core::solve_dp(p, workspace));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel("one cold solve_dp per scenario");
-}
-BENCHMARK(BM_DpBatchSolveSequential)->Arg(8)->Unit(benchmark::kMillisecond);
 
 /// The replan microbenchmarks mutate one T_q window of the *last* enforced
 /// signal (light2 at 3460 m of the 4200 m corridor) between two values, so
@@ -430,8 +359,8 @@ void BM_PlanServiceShardedBatchHit(benchmark::State& state) {
 BENCHMARK(BM_PlanServiceShardedBatchHit);
 
 void BM_PlanServiceConcurrentMisses(benchmark::State& state) {
-  // A batch of distinct-key misses fanned across the service pool: measures
-  // miss throughput now that the solver runs outside the cache lock.
+  // A batch of distinct-key misses: the leaders solve one after another on
+  // the calling thread, and the service pool only materializes responses.
   sim::MicrosimConfig sim_cfg;
   core::PlannerConfig cfg;
   cfg.vm = sim::calibrated_vm_params(sim_cfg.background_driver, 13.4, sim_cfg.straight_ratio);

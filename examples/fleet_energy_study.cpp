@@ -1,9 +1,8 @@
 // Fleet study: how much energy does queue-aware planning save across a whole
 // day of departures? The day's trips are planned through the vehicular-cloud
-// PlanService (paper Sec. I): one batch request per policy fans the
-// departures across the service's worker pool, and departures whose
-// (signal phase, demand bin) coincide are served from cache instead of
-// re-running the DP. Each plan is then executed in traffic of the hour's
+// PlanService (paper Sec. I): one batch request per policy, in which
+// departures whose (signal phase, demand bin) coincide are served from cache
+// instead of re-running the DP. Each plan is then executed in traffic of the hour's
 // actual intensity and the savings are aggregated against the
 // queue-oblivious baseline - the deployment view of the paper's system.
 #include <iostream>

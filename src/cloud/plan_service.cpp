@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/clock.hpp"
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 
@@ -276,26 +277,6 @@ PlanTicket PlanService::wait_follower(ServeState& state, int vehicle_id, Seconds
   return std::move(*ticket);
 }
 
-PlanTicket PlanService::serve_ticket(const CacheKey& key, int vehicle_id, Seconds request_time,
-                                     const std::function<core::PlannedProfile()>& solve) {
-  const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
-  ServeState state = begin_serve(key, vehicle_id, request_time);
-  if (state.hit.has_value()) return std::move(*state.hit);
-
-  if (state.leader) {
-    try {
-      auto profile = std::make_shared<const core::PlannedProfile>(solve());
-      return publish_leader_result(key, state, vehicle_id, request_time, std::move(profile));
-    } catch (...) {
-      publish_leader_error(key, state, std::current_exception());
-      throw;
-    }
-  }
-
-  // Follower: coalesce onto the leader's solve.
-  return wait_follower(state, vehicle_id, request_time);
-}
-
 core::PlannedProfile PlanService::solve_miss(const BatchItem& item) {
   if (!item.replan) return planner_.plan(Seconds(item.time_s), arrivals_);
   // The miss solves the bin's canonical grid state, not the raw request
@@ -306,9 +287,24 @@ core::PlannedProfile PlanService::solve_miss(const BatchItem& item) {
                          Seconds(item.time_s), arrivals_);
 }
 
+PlanTicket PlanService::solve_leader(const BatchItem& item, ServeState& state) {
+  try {
+    auto profile = std::make_shared<const core::PlannedProfile>(solve_miss(item));
+    return publish_leader_result(item.key, state, item.vehicle_id, Seconds(item.time_s),
+                                 std::move(profile));
+  } catch (...) {
+    publish_leader_error(item.key, state, std::current_exception());
+    throw;
+  }
+}
+
 PlanTicket PlanService::serve_item(const BatchItem& item) {
-  return serve_ticket(item.key, item.vehicle_id, Seconds(item.time_s),
-                      [&] { return solve_miss(item); });
+  const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
+  ServeState state = begin_serve(item.key, item.vehicle_id, Seconds(item.time_s));
+  if (state.hit.has_value()) return std::move(*state.hit);
+  if (state.leader) return solve_leader(item, state);
+  // Follower: coalesce onto the leader's solve.
+  return wait_follower(state, item.vehicle_id, Seconds(item.time_s));
 }
 
 std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& items) {
@@ -331,6 +327,7 @@ std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& i
   // error is rethrown at the end.
   std::vector<PlanTicket> out(items.size());
   std::vector<std::optional<PlanTicket>> lead_ticket(groups.size());
+  std::vector<std::uint64_t> admitted_ns(telemetry::kEnabled ? groups.size() : 0);
   struct PendingGroup {
     std::size_t group = 0;
     ServeState state;
@@ -340,9 +337,9 @@ std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& i
   std::exception_ptr first_error;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     batch_group_size_->record(static_cast<long>(groups[g].size()));
+    if constexpr (telemetry::kEnabled) admitted_ns[g] = common::now_ns();
     const BatchItem& lead = items[groups[g].front()];
     try {
-      const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
       ServeState state = begin_serve(lead.key, lead.vehicle_id, Seconds(lead.time_s));
       if (state.hit.has_value()) {
         lead_ticket[g] = std::move(*state.hit);
@@ -356,66 +353,19 @@ std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& i
     }
   }
 
-  // Phase B - leader solves. Two or more leaders dispatch as ONE batched
-  // run: distinct keys mean distinct solver inputs, and solve_dp_batch
-  // solves them back to back on pooled workspaces shared per route. A single
-  // leader keeps the plain serve path, which warm-starts from the workspace
-  // pool.
-  // Every elected leader reaches an epilogue here - publish or error - so
-  // followers (ours in phase C, or in concurrent calls) can never hang.
-  if (leaders.size() >= 2) {
-    std::vector<core::PlanJob> jobs;
-    jobs.reserve(leaders.size());
-    const double dv = planner_.config().resolution.dv_ms;
-    for (const PendingGroup& pending : leaders) {
-      const BatchItem& lead = items[groups[pending.group].front()];
-      core::PlanJob job;
-      job.replan = lead.replan;
-      job.depart_time_s = lead.time_s;
-      if (lead.replan) {
-        // The canonical grid state, exactly as solve_miss submits it.
-        job.position_m = static_cast<double>(lead.key.layer) * grid_ds_m_;
-        job.speed_ms = static_cast<double>(lead.key.vlevel) * dv;
+  // Phase B - leader solves, one after another through the same routine as
+  // a single request. Each elected leader reaches an epilogue (publish or
+  // error) before the next starts, so followers - ours in phase C, or in
+  // concurrent calls - can never hang.
+  if (!leaders.empty()) {
+    const telemetry::TraceSpan solve_span(*batch_solve_ns_, "plan_service.batch_solve");
+    for (PendingGroup& pending : leaders) {
+      try {
+        lead_ticket[pending.group] = solve_leader(items[groups[pending.group].front()],
+                                                  pending.state);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
       }
-      jobs.push_back(job);
-    }
-    std::vector<core::PlanBatchResult> results;
-    try {
-      const telemetry::TraceSpan solve_span(*batch_solve_ns_, "plan_service.batch_solve");
-      results = planner_.plan_batch(jobs, arrivals_);
-    } catch (...) {
-      // Batch infrastructure failure (not a per-job error): every leader's
-      // flight gets the error so no follower hangs, then it propagates.
-      for (PendingGroup& pending : leaders) {
-        const BatchItem& lead = items[groups[pending.group].front()];
-        publish_leader_error(lead.key, pending.state, std::current_exception());
-      }
-      throw;
-    }
-    for (std::size_t n = 0; n < leaders.size(); ++n) {
-      PendingGroup& pending = leaders[n];
-      const BatchItem& lead = items[groups[pending.group].front()];
-      if (results[n].error) {
-        publish_leader_error(lead.key, pending.state, results[n].error);
-        if (!first_error) first_error = results[n].error;
-      } else {
-        lead_ticket[pending.group] = publish_leader_result(
-            lead.key, pending.state, lead.vehicle_id, Seconds(lead.time_s),
-            std::make_shared<const core::PlannedProfile>(std::move(*results[n].profile)));
-      }
-    }
-  } else if (leaders.size() == 1) {
-    PendingGroup& pending = leaders.front();
-    const BatchItem& lead = items[groups[pending.group].front()];
-    try {
-      const telemetry::TraceSpan ticket_span(*ticket_latency_ns_, "plan_service.ticket");
-      auto profile = std::make_shared<const core::PlannedProfile>(solve_miss(lead));
-      lead_ticket[pending.group] = publish_leader_result(lead.key, pending.state,
-                                                         lead.vehicle_id, Seconds(lead.time_s),
-                                                         std::move(profile));
-    } catch (...) {
-      publish_leader_error(lead.key, pending.state, std::current_exception());
-      if (!first_error) first_error = std::current_exception();
     }
   }
 
@@ -429,6 +379,13 @@ std::vector<PlanTicket> PlanService::serve_batch(const std::vector<BatchItem>& i
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }
+  }
+
+  // Every group's ticket is ready: one end-to-end sample per group, from its
+  // own admission (compiled out with the spans, like the singular path's).
+  if constexpr (telemetry::kEnabled) {
+    const std::uint64_t done_ns = common::now_ns();
+    for (const std::uint64_t t : admitted_ns) ticket_latency_ns_->record(done_ns - t);
   }
 
   // Phase D - fan out: members derive their tickets from the group lead's.

@@ -51,7 +51,6 @@
 // never.
 #pragma once
 
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -77,7 +76,9 @@ struct CacheConfig {
   std::size_t capacity = 256;        ///< cached plans per shard (LRU eviction)
   double phase_quantum_s = 1.0;      ///< departure-phase bin width
   double demand_quantum_veh_h = 50.0;///< arrival-rate bin width
-  /// Worker threads for request_plans() batches; 0 = hardware_concurrency.
+  /// Worker threads that materialize the responses of request_plans() and
+  /// request_replans() (the PlanResponse batch forms; solves and the ticket
+  /// APIs never use them); 0 = hardware_concurrency.
   unsigned batch_threads = 0;
   /// Cache shards (independent mutex + LRU + in-flight table each). 1 keeps
   /// the original single-mutex layout; fleet serving uses 8+.
@@ -153,8 +154,7 @@ class PlanService {
  public:
   /// The routing decision for one request: its full cache identity (the
   /// corridor hash plus every quantized bin) and the shard it lands on.
-  /// Exposed for routing tests and workload harnesses; the same structure a
-  /// distributed front-end would use to pick a rank (ShardRank::owns).
+  /// Exposed for routing tests and workload harnesses.
   struct [[nodiscard]] RequestSlot {
     ShardKey key;
     std::size_t shard = 0;
@@ -171,10 +171,11 @@ class PlanService {
   /// the header comment.
   PlanResponse request_plan(const PlanRequest& request);
 
-  /// Serves a whole batch, fanning same-shard groups across the service's
-  /// worker pool (CacheConfig::batch_threads). Responses are returned in
-  /// request order. Same-key requests within the batch coalesce onto one
-  /// cache lookup (and, on a miss, one solve).
+  /// Serves a whole batch. Responses are returned in request order.
+  /// Same-key requests within the batch coalesce onto one cache lookup (and,
+  /// on a miss, one solve); misses solve one after another on the calling
+  /// thread. The worker pool (CacheConfig::batch_threads) only materializes
+  /// the responses.
   std::vector<PlanResponse> request_plans(std::span<const PlanRequest> requests);
 
   /// Computes or serves a replan for a mid-route vehicle state. The returned
@@ -228,6 +229,12 @@ class PlanService {
   /// Workload harnesses report its percentiles; empty until the first batch
   /// call on this instance.
   const telemetry::Histogram& batch_group_sizes() const { return *batch_group_size_; }
+
+  /// End-to-end ticket latency [ns]: one sample per single request and one
+  /// per same-key group of a batch call, from admission until the call's
+  /// tickets are ready (a leader's solve or a follower's wait included).
+  /// Empty in EVVO_TELEMETRY=OFF builds.
+  const telemetry::Histogram& ticket_latencies() const { return *ticket_latency_ns_; }
 
  private:
   struct CacheKey {
@@ -299,11 +306,10 @@ class PlanService {
     bool leader = false;
     std::optional<PlanTicket> hit;
   };
-  /// The lookup/registration half of serve_ticket: cache probe (with TTL),
+  /// The lookup/registration half of serving: cache probe (with TTL),
   /// flight join, admission control (throws ServiceOverload), or leader
   /// election (counts solver_runs/queue_depth at takeoff). Factored out so
-  /// the batch path can admit a whole batch first and solve its leaders as
-  /// one batched run.
+  /// the batch path can admit a whole batch before it solves any leader.
   ServeState begin_serve(const CacheKey& key, int vehicle_id, Seconds request_time);
   /// Leader epilogue: publishes `profile` to the cache, retires the flight,
   /// wakes followers, and returns the leader's ticket.
@@ -317,31 +323,31 @@ class PlanService {
   /// Follower epilogue: waits out the leader's flight and derives a ticket
   /// (rethrows the leader's error).
   PlanTicket wait_follower(ServeState& state, int vehicle_id, Seconds request_time);
-  /// Cache lookup + single-flight around an arbitrary solve (full plan or
-  /// replan). `request_time` anchors the time shift cached hits are served
-  /// with; `solve` runs outside every service lock on the leader.
-  PlanTicket serve_ticket(const CacheKey& key, int vehicle_id, Seconds request_time,
-                          const std::function<core::PlannedProfile()>& solve);
   void insert_into_cache_locked(Shard& shard, const CacheKey& key,
                                 std::shared_ptr<const core::PlannedProfile> profile,
                                 double reference_time) EVVO_REQUIRES(shard.shard_mutex);
   /// A request after quantization: its cache key plus what is needed to
-  /// serve it (the solve closure is derived from `key`/`time_s`/`replan`).
+  /// serve it (the solve is derived from `key`/`time_s`/`replan`).
   struct BatchItem {
     CacheKey key;
     int vehicle_id = 0;
     double time_s = 0.0;
     bool replan = false;
   };
+  /// One request: cache lookup + single-flight. `time_s` anchors the time
+  /// shift cached hits are served with; a leader solves outside every
+  /// service lock.
   PlanTicket serve_item(const BatchItem& item);
   /// The solve a miss of `item` runs (full plan or canonical-grid replan).
   core::PlannedProfile solve_miss(const BatchItem& item);
+  /// The one leader routine of both serving paths: solve_miss, then
+  /// publish_leader_result, or publish_leader_error and rethrow.
+  PlanTicket solve_leader(const BatchItem& item, ServeState& state);
   /// Cross-request batch dispatch: groups same-key items, admits each
-  /// group's first member through the single-flight path, solves all
-  /// admitted leaders as ONE batched run (core/dp_batch.hpp, one pooled
-  /// workspace per route), then publishes results and
-  /// derives every other member's ticket from its group leader's (one cache
-  /// transaction per group).
+  /// group's first member through the single-flight path, runs every
+  /// admitted leader through solve_leader, then derives every other
+  /// member's ticket from its group leader's (one cache transaction per
+  /// group).
   std::vector<PlanTicket> serve_batch(const std::vector<BatchItem>& items);
   std::vector<PlanResponse> materialize_all(std::vector<PlanTicket> tickets);
   common::ThreadPool* batch_pool();
@@ -358,12 +364,12 @@ class PlanService {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Service-level telemetry, registered alongside the shard counters:
-  /// end-to-end serve_ticket latency (including the leader's solve) and the
-  /// same-key group sizes the batch path coalesces.
+  /// end-to-end ticket latency (see ticket_latencies()) and the same-key
+  /// group sizes the batch path coalesces.
   telemetry::Histogram* ticket_latency_ns_ = nullptr;
   telemetry::Histogram* batch_group_size_ = nullptr;
-  /// Duration of the batched leader solve in serve_batch (covers the whole
-  /// plan_batch call: problem construction and every solve).
+  /// Duration of serve_batch's leader solves, one sample per call that
+  /// elected any leader (every leader's problem construction and solve).
   telemetry::Histogram* batch_solve_ns_ = nullptr;
 
   mutable common::Mutex pool_mutex_{common::LockRank::kServiceBatchPool};

@@ -64,6 +64,14 @@ void DpProblem::validate() const {
     throw std::invalid_argument("DpProblem: departure time and boundary speeds must be finite");
   resolution.validate();
   penalty.validate();
+  // Arrival times are propagated as float. Once one float step at the end of
+  // the trip exceeds a time bin, arrivals can no longer be binned, and a
+  // departure rounded below itself would index before bin 0.
+  const double reach = std::abs(depart_time.value()) + resolution.horizon_s;
+  const double float_step =
+      std::ldexp(1.0, std::ilogb(reach) - (std::numeric_limits<float>::digits - 1));
+  if (float_step > resolution.dt_s)
+    throw std::invalid_argument("DpProblem: departure time too large to resolve one time bin");
 }
 
 void DpWorkspace::ensure_model_tables(const road::Route& route, const ev::EnergyModel& energy,

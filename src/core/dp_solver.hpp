@@ -159,6 +159,10 @@ struct DpProblem {
   /// reference solver.
   bool checksum_tables = false;
 
+  /// Throws std::invalid_argument for a missing route or energy model, a
+  /// non-finite departure or boundary speed, an invalid resolution or
+  /// penalty, or a departure too large for the float clock to resolve one
+  /// time bin over the trip (float spacing at |depart| + horizon > dt_s).
   void validate() const;
 };
 

@@ -8,7 +8,6 @@
 #include "common/math_util.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_pool.hpp"
-#include "core/dp_batch.hpp"
 #include "core/dp_common.hpp"
 #include "core/dp_replan.hpp"
 #include "core/workspace_pool.hpp"
@@ -155,25 +154,6 @@ void require_finite(const char* what, double value) {
     throw std::invalid_argument(std::string("VelocityPlanner: non-finite ") + what);
 }
 
-/// Shared by replan() and plan_batch(): the corridor suffix a mid-route
-/// replan solves over, with elements closer than one grid step dropped as
-/// already passed (they would otherwise snap to the boundary layer).
-road::Corridor replan_suffix(const road::Corridor& corridor, const PlannerConfig& config,
-                             double position_m, double speed_ms, double time_s) {
-  require_finite("position", position_m);
-  require_finite("speed", speed_ms);
-  require_finite("time", time_s);
-  if (position_m < 0.0 || position_m >= corridor.length())
-    throw std::invalid_argument("VelocityPlanner::replan: position outside the corridor");
-  road::Corridor rest = road::corridor_suffix(corridor, position_m);
-  const double too_close = config.resolution.ds_m * 1.5;
-  std::erase_if(rest.lights,
-                [&](const road::TrafficLight& l) { return l.position() < too_close; });
-  std::erase_if(rest.stop_signs,
-                [&](const road::StopSign& s) { return s.position_m < too_close; });
-  return rest;
-}
-
 }  // namespace
 
 std::vector<LayerEvent> VelocityPlanner::build_events(
@@ -225,8 +205,20 @@ PlannedProfile VelocityPlanner::replan(
   const double position_m = position.value();  // .value() seam
   const double speed_ms = speed.value();
   const double time_s = time.value();
-  // Signal offsets are absolute times; nothing to shift there.
-  road::Corridor rest = replan_suffix(corridor_, config_, position_m, speed_ms, time_s);
+  require_finite("position", position_m);
+  require_finite("speed", speed_ms);
+  require_finite("time", time_s);
+  if (position_m < 0.0 || position_m >= corridor_.length())
+    throw std::invalid_argument("VelocityPlanner::replan: position outside the corridor");
+  // Signal offsets are absolute times; nothing to shift there. Elements
+  // closer than one grid step count as already passed (they would otherwise
+  // snap to the boundary layer).
+  road::Corridor rest = road::corridor_suffix(corridor_, position_m);
+  const double too_close = config_.resolution.ds_m * 1.5;
+  std::erase_if(rest.lights,
+                [&](const road::TrafficLight& l) { return l.position() < too_close; });
+  std::erase_if(rest.stop_signs,
+                [&](const road::StopSign& s) { return s.position_m < too_close; });
 
   DpProblem problem = make_problem(rest.route, energy_, config_, time_s,
                                    build_events_for(rest, config_, time_s, arrivals));
@@ -236,62 +228,6 @@ PlannedProfile VelocityPlanner::replan(
   if (!solution.has_value())
     throw std::runtime_error("VelocityPlanner::replan: no feasible trajectory within the horizon");
   return solution->profile.shifted(position_m);
-}
-
-std::vector<PlanBatchResult> VelocityPlanner::plan_batch(
-    std::span<const PlanJob> jobs,
-    std::shared_ptr<const traffic::ArrivalRateProvider> arrivals) const {
-  std::vector<PlanBatchResult> out(jobs.size());
-
-  // Problem construction mirrors plan()/replan() exactly (same validation,
-  // same error text), with per-job failures captured instead of thrown.
-  // DpProblem.route points into its corridor's Route, so replan suffixes are
-  // heap-owned to keep the pointers stable across the whole batch.
-  std::vector<std::unique_ptr<road::Corridor>> suffixes;
-  std::vector<DpProblem> problems;
-  std::vector<std::size_t> job_of;  // problems index -> jobs index
-  problems.reserve(jobs.size());
-  job_of.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const PlanJob& job = jobs[i];
-    try {
-      if (!job.replan) {
-        require_finite("departure time", job.depart_time_s);
-        problems.push_back(
-            make_problem(corridor_.route, energy_, config_, job.depart_time_s,
-                         build_events_for(corridor_, config_, job.depart_time_s, arrivals)));
-      } else {
-        auto rest = std::make_unique<road::Corridor>(replan_suffix(
-            corridor_, config_, job.position_m, job.speed_ms, job.depart_time_s));
-        DpProblem problem =
-            make_problem(rest->route, energy_, config_, job.depart_time_s,
-                         build_events_for(*rest, config_, job.depart_time_s, arrivals));
-        problem.initial_speed =
-            MetersPerSecond(clamp(job.speed_ms, 0.0, rest->route.speed_limit_at(0.0)));
-        suffixes.push_back(std::move(rest));
-        problems.push_back(std::move(problem));
-      }
-      job_of.push_back(i);
-    } catch (...) {
-      out[i].error = std::current_exception();
-    }
-  }
-
-  common::ThreadPool* pool = runtime_->pool_for(config_.resolution.threads);
-  std::vector<std::optional<DpSolution>> solutions =
-      solve_dp_batch(problems, runtime_->workspaces, pool);
-  for (std::size_t p = 0; p < problems.size(); ++p) {
-    const std::size_t i = job_of[p];
-    if (!solutions[p].has_value()) {
-      out[i].error = std::make_exception_ptr(std::runtime_error(
-          jobs[i].replan ? "VelocityPlanner::replan: no feasible trajectory within the horizon"
-                         : "VelocityPlanner: no feasible trajectory within the horizon"));
-      continue;
-    }
-    out[i].profile = jobs[i].replan ? solutions[p]->profile.shifted(jobs[i].position_m)
-                                    : std::move(solutions[p]->profile);
-  }
-  return out;
 }
 
 }  // namespace evvo::core

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 
 #include "common/units.hpp"
 #include "core/dp_solver.hpp"
@@ -28,24 +27,6 @@ enum class SignalPolicy {
 };
 
 const char* signal_policy_name(SignalPolicy policy);
-
-/// One job of a batched solve (VelocityPlanner::plan_batch): either a full
-/// trip departing at `depart_time_s` or a mid-route replan from
-/// (`position_m`, `speed_ms`) at that time.
-struct PlanJob {
-  bool replan = false;
-  double depart_time_s = 0.0;
-  double position_m = 0.0;  ///< replan only: corridor coordinate
-  double speed_ms = 0.0;    ///< replan only: current speed
-};
-
-/// Per-job outcome of plan_batch: exactly one of `profile`/`error` is set.
-/// `error` carries what the corresponding plan()/replan() call would have
-/// thrown (invalid position, infeasible horizon, ...).
-struct [[nodiscard]] PlanBatchResult {
-  std::optional<PlannedProfile> profile;
-  std::exception_ptr error;
-};
 
 struct PlannerConfig {
   DpResolution resolution{};
@@ -110,17 +91,6 @@ class VelocityPlanner {
   /// grid step of the position are treated as already passed.
   [[nodiscard]] PlannedProfile replan(Meters position, MetersPerSecond speed, Seconds time,
                         std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
-
-  /// Solves many independent jobs in one pass through solve_dp_batch
-  /// (core/dp_batch.hpp) over the planner's pooled workspaces. Results are in
-  /// job order and each is bit-identical to the corresponding plan()/replan()
-  /// call; per-job failures surface in PlanBatchResult::error instead of
-  /// throwing, so one bad job cannot void the batch. Every job solves cold
-  /// (batched jobs carry no warm-start state); single-job callers should
-  /// prefer plan()/replan().
-  [[nodiscard]] std::vector<PlanBatchResult> plan_batch(
-      std::span<const PlanJob> jobs,
-      std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
 
  private:
   struct Runtime;

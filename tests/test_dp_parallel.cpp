@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/dp_common.hpp"
@@ -298,6 +299,46 @@ TEST(DpWorkspace, ReuseAcrossSolvesAndProblems) {
     EXPECT_TRUE(profiles_bit_identical(b1->profile, b2->profile)) << "round " << round;
   }
   EXPECT_GT(workspace.state_bytes(), 0u);
+
+  // Perturbed problems over the same route share the workspace's cached model
+  // tables: departure jitter, one signal's windows shifted, a moving start.
+  // Each must match a solve on a fresh workspace table for table, with the
+  // exhaustive sweep so the checksum and work counters are comparable.
+  std::vector<DpProblem> variants(4, first.problem);
+  variants[1].depart_time = Seconds(17.0);
+  for (LayerEvent& event : variants[2].events) {
+    if (event.type != LayerEvent::Type::kSignal || event.windows.empty()) continue;
+    for (road::TimeWindow& w : event.windows) {
+      w.start_s += 4.0;
+      w.end_s += 4.0;
+    }
+    break;
+  }
+  variants[3].initial_speed = MetersPerSecond(5.0);
+  std::vector<std::optional<DpSolution>> fresh;
+  for (DpProblem& problem : variants) {
+    problem.checksum_tables = true;
+    problem.bound_pruning = false;
+    DpWorkspace own;
+    fresh.push_back(solve_dp(problem, own, nullptr));
+    ASSERT_TRUE(fresh.back().has_value());
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      const auto reused = solve_dp(variants[v], workspace, &pool);
+      ASSERT_TRUE(reused.has_value()) << "variant " << v;
+      const DpStats& got = reused->stats;
+      const DpStats& want = fresh[v]->stats;
+      EXPECT_EQ(got.table_checksum, want.table_checksum) << "variant " << v;
+      EXPECT_EQ(got.relaxations, want.relaxations) << "variant " << v;
+      EXPECT_EQ(got.frontier_states, want.frontier_states) << "variant " << v;
+      EXPECT_EQ(got.pruned_states, want.pruned_states) << "variant " << v;
+      EXPECT_EQ(std::memcmp(&got.best_cost_mah, &want.best_cost_mah, sizeof(double)), 0)
+          << "variant " << v;
+      EXPECT_TRUE(profiles_bit_identical(fresh[v]->profile, reused->profile))
+          << "variant " << v << " round " << round;
+    }
+  }
 }
 
 TEST(DpWorkspace, ConcurrentPlannerCallsAgree) {

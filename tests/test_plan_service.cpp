@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -164,6 +165,17 @@ TEST(PlanService, RejectsNonFiniteRequests) {
   EXPECT_THROW((void)service.request_replan({7, 100.0, 10.0, nan}), std::invalid_argument);
   const std::vector<PlanRequest> batch{{8, 0.0}, {9, nan}};
   EXPECT_THROW((void)service.request_plans(batch), std::invalid_argument);
+  // Finite clocks too large for the solver's float time base: the miss's
+  // solve rejects them. A fresh service keeps them misses - 1e300 falls in
+  // phase bin 0, cached above - and the batch partner sits in a bin none of
+  // them shares.
+  PlanService cold(make_planner(), demand(765.0));
+  for (const double t : {1e17, -1e17, 1e300}) {
+    EXPECT_THROW((void)cold.request_plan({10, t}), std::invalid_argument) << t;
+    EXPECT_THROW((void)cold.request_replan({11, 100.0, 10.0, t}), std::invalid_argument) << t;
+    const std::vector<PlanRequest> huge{{12, 30.0}, {13, t}};
+    EXPECT_THROW((void)cold.request_plans(huge), std::invalid_argument) << t;
+  }
 }
 
 TEST(PlanService, BatchReplansCoalesceOntoOneSolve) {
@@ -186,6 +198,24 @@ TEST(PlanService, BatchReplansCoalesceOntoOneSolve) {
   EXPECT_EQ(stats.replans, 6);
   EXPECT_EQ(stats.solver_runs, 1);
   EXPECT_EQ(stats.cache_hits, 5);
+}
+
+TEST(PlanService, TicketLatencyRecordsOneSamplePerGroup) {
+  PlanService service(make_planner(), demand(765.0));
+  (void)service.request_plan({0, 0.0});   // phase bin 0
+  (void)service.request_plan({1, 20.0});  // phase bin 20
+  const std::uint64_t per_call = telemetry::kEnabled ? 1 : 0;  // OFF builds time nothing
+  EXPECT_EQ(service.ticket_latencies().count(), 2 * per_call);
+  // Three groups: two hit groups (bins 0 and 20, the second with two
+  // members) and one miss (bin 40). The miss's solve lands inside its
+  // group's sample rather than adding a sample of its own.
+  const std::vector<PlanRequest> batch{{2, 60.0}, {3, 80.0}, {4, 140.0}, {5, 40.0}};
+  const std::vector<PlanTicket> tickets = service.request_plan_tickets(batch);
+  ASSERT_EQ(tickets.size(), batch.size());
+  EXPECT_FALSE(tickets[3].cache_hit);
+  EXPECT_EQ(service.stats().solver_runs, 3);
+  EXPECT_EQ(service.ticket_latencies().count(), (2 + 3) * per_call);
+  EXPECT_EQ(service.batch_group_sizes().count(), 3u);
 }
 
 TEST(PlanService, ConcurrentRequestsAreConsistent) {

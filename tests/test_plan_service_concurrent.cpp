@@ -231,8 +231,8 @@ TEST(PlanServiceConcurrent, TicketBatchMissStormSolvesBatchedPerCaller) {
   // Four threads fire one ticket-batch each into a cold 8-shard service:
   // three plan batches (six distinct phase bins apiece, one in-batch repeat)
   // and one replan batch (six distinct quantized states). Every batch is all
-  // misses, so each caller drives serve_batch's grouped admission and the
-  // batched solver run concurrently with the others - the pooled
+  // misses, so each caller drives serve_batch's grouped admission and its
+  // loop of leader solves concurrently with the others - the pooled
   // workspaces, batch telemetry histograms, and shard counters all see
   // cross-thread traffic under TSan. Single-flight still bounds the solves
   // to one per distinct key, and the in-batch repeat must coalesce onto its

@@ -1,13 +1,16 @@
 // Corridor sharding of the PlanService: routing determinism (the shard of a
 // key is a pure value function, stable across processes and rebuilds),
 // LRU/TTL eviction order, admission-control rejection, and per-shard
-// statistics accounting. The timing-sensitive rejection test synchronizes on
-// the queue_depth gauge, not on sleeps.
+// statistics accounting. The timing-sensitive rejection test holds its
+// leader inside the solve with a gated demand source and synchronizes on the
+// queue_depth gauge, not on sleeps.
 #include "cloud/plan_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -22,15 +25,45 @@ std::shared_ptr<traffic::ConstantArrivalRate> demand(double veh_h) {
   return std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(veh_h));
 }
 
+/// Constant demand that can hold a solve open. The first call from a thread
+/// other than the constructing one passes (PlanService's key derivation);
+/// that thread's later calls - the planner's queue prediction, after the
+/// request was admitted - block until release().
+class HeldDemand final : public traffic::ArrivalRateProvider {
+ public:
+  double arrival_rate_veh_h(Seconds) const override {
+    if (std::this_thread::get_id() != owner_) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (foreign_calls_++ > 0) released_.wait(lock, [this] { return open_; });
+    }
+    return 500.0;
+  }
+
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    released_.notify_all();
+  }
+
+ private:
+  const std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::mutex mutex_;
+  mutable std::condition_variable released_;
+  mutable int foreign_calls_ = 0;
+  bool open_ = false;
+};
+
 /// Same small corridor as test_plan_service_concurrent: fast solves, one
 /// light with a 60 s hyperperiod so phase bins are easy to construct.
-core::VelocityPlanner make_planner() {
+core::VelocityPlanner make_planner(core::SignalPolicy policy = core::SignalPolicy::kGreenWindow) {
   road::Corridor corridor{road::Route({{0.0, 350.0, 14.0, 0.0, 0.0},
                                        {350.0, 600.0, 12.0, 0.0, 0.01}}),
                           {road::TrafficLight(300.0, 27.0, 33.0)},
                           {}};
   core::PlannerConfig cfg;
-  cfg.policy = core::SignalPolicy::kGreenWindow;
+  cfg.policy = policy;
   cfg.resolution.horizon_s = 200.0;
   return core::VelocityPlanner(std::move(corridor), ev::EnergyModel{}, cfg);
 }
@@ -145,13 +178,6 @@ TEST(ShardRouting, ReplanSlotsNeverCollideWithPlanSlots) {
                std::invalid_argument);
 }
 
-TEST(ShardRank, SerialStubOwnsEverything) {
-  EXPECT_EQ(ShardRank::n_ranks(), 1);
-  EXPECT_EQ(ShardRank::rank(), 0);
-  EXPECT_TRUE(ShardRank::is_master());
-  for (std::size_t shard = 0; shard < 64; ++shard) EXPECT_TRUE(ShardRank::owns(shard));
-}
-
 // --- Config validation ---------------------------------------------------
 
 TEST(PlanShards, ValidatesShardConfig) {
@@ -232,14 +258,17 @@ TEST(PlanShards, AdmissionControlShedsNewLeadersOnly) {
   CacheConfig cache;
   cache.shards = 1;
   cache.max_pending_per_shard = 1;
-  PlanService service(make_planner(), demand(500.0), cache);
+  const auto held = std::make_shared<HeldDemand>();
+  PlanService service(make_planner(core::SignalPolicy::kQueueAware), held, cache);
 
-  // Occupy the shard's single solve slot with key A's leader...
+  // Occupy the shard's single solve slot with key A's leader, held inside
+  // its queue prediction however the threads are scheduled...
   std::thread leader([&] { (void)service.request_plan({0, 5.0}); });
   while (service.stats().queue_depth < 1) std::this_thread::yield();
 
   // ...a distinct cold key now needs a second concurrent solve: shed.
   EXPECT_THROW((void)service.request_plan({1, 25.0}), ServiceOverload);
+  held->release();
   // A phase-congruent request for A itself coalesces (never rejected).
   const PlanResponse follower = service.request_plan({2, 65.0});
   EXPECT_TRUE(follower.cache_hit);

@@ -166,10 +166,16 @@ TEST(Planner, RejectsNonFiniteClockAndState) {
                  std::invalid_argument)
         << t;
   }
-  const std::vector<PlanJob> jobs{{false, nan, 0.0, 0.0}, {true, 0.0, 100.0, inf}};
-  for (const PlanBatchResult& result : planner.plan_batch(jobs, arrivals)) {
-    ASSERT_TRUE(result.error != nullptr);
-    EXPECT_THROW(std::rethrow_exception(result.error), std::invalid_argument);
+  // Finite but beyond the float clock's resolution: unchecked, 1e17 rounds
+  // below itself in the sweep and indexes before time bin 0.
+  for (const double t : {1e17, -1e17, 1e300}) {
+    EXPECT_THROW((void)planner.plan(Seconds(t), arrivals), std::invalid_argument) << t;
+    EXPECT_THROW((void)planner.replan(Meters(100.0), MetersPerSecond(5.0), Seconds(t), arrivals),
+                 std::invalid_argument)
+        << t;
+    EXPECT_THROW((void)planner.replan(Meters(t), MetersPerSecond(5.0), Seconds(0.0), arrivals),
+                 std::invalid_argument)
+        << t;
   }
 }
 

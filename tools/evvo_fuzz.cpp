@@ -13,7 +13,6 @@
 //   evvo_fuzz --simd-only --count 100   # cheap vector-vs-scalar identity sweep
 //   evvo_fuzz --bound-only --count 25   # bound-pruned vs exhaustive solve contract
 //   evvo_fuzz --replan --count 100      # warm-vs-cold replan chains, exact and bound-pruned
-//   evvo_fuzz --batch --count 100       # batched-vs-standalone solve identity
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "check/batch_identity.hpp"
 #include "check/invariants.hpp"
 #include "check/replan_chain.hpp"
 #include "check/scenario.hpp"
@@ -44,7 +42,6 @@ struct Options {
   bool simd_only = false;  ///< strip everything but the simd-vs-scalar oracle
   bool bound_only = false; ///< strip everything but the bound-pruning contract
   bool replan = false;     ///< run perturbation-chain warm-vs-cold identity instead
-  bool batch = false;      ///< run batched-vs-standalone solve identity instead
   std::size_t replan_steps = 8;
   std::string inject = "none";
   std::string replay_spec;  // path: check this spec instead of generating
@@ -58,7 +55,7 @@ int usage(const char* argv0) {
                "                    bound-inadmissible]\n"
                "          [--replay-spec FILE] [--spec-out FILE] [--no-shrink] [--no-replay]\n"
                "          [--no-reference] [--simd-only] [--bound-only] [--replan]\n"
-               "          [--replan-steps N] [--batch]\n",
+               "          [--replan-steps N]\n",
                argv0);
   return 2;
 }
@@ -107,8 +104,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.bound_only = true;
     } else if (arg == "--replan") {
       opt.replan = true;
-    } else if (arg == "--batch") {
-      opt.batch = true;
     } else if (arg == "--replan-steps") {
       const char* v = next();
       if (!v) return false;
@@ -185,45 +180,6 @@ int main(int argc, char** argv) {
         2 * opt.count, chain_s, spliced.load(), striped.load(), cold.load(), fallbacks.load(),
         relaxed.load(), total.load(), chain_failures.load());
     return chain_failures.load() == 0 ? 0 : 1;
-  }
-
-  // --batch: batched-vs-standalone solve identity, the SoA multi-scenario
-  // kernel's oracle (src/check/batch_identity.hpp). Any --inject value maps
-  // to the check's tamper self-test.
-  if (opt.batch) {
-    evvo::check::BatchIdentityOptions batch_opt;
-    batch_opt.tamper = check.inject != evvo::check::Fault::kNone;
-    if (opt.single_seed) {
-      const evvo::check::BatchIdentityReport report =
-          evvo::check::check_batch_identity(*opt.single_seed, batch_opt);
-      std::printf("%s", evvo::check::batch_report_to_string(report).c_str());
-      return report.ok() ? 0 : 1;
-    }
-    const unsigned batch_jobs =
-        std::max(1u, opt.jobs ? opt.jobs : evvo::common::ThreadPool::resolve_threads(0) / 2);
-    evvo::common::ThreadPool batch_pool(batch_jobs);
-    std::atomic<std::size_t> batch_failures{0};
-    std::atomic<std::size_t> lanes{0}, infeasible_lanes{0};
-    std::mutex batch_io;
-    const std::uint64_t t0 = evvo::common::now_ns();
-    batch_pool.parallel_for(opt.count, [&](std::size_t index) {
-      const std::uint64_t seed = opt.seed_start + index;
-      const evvo::check::BatchIdentityReport report =
-          evvo::check::check_batch_identity(seed, batch_opt);
-      lanes.fetch_add(report.lanes, std::memory_order_relaxed);
-      infeasible_lanes.fetch_add(report.infeasible_lanes, std::memory_order_relaxed);
-      if (report.ok()) return;
-      batch_failures.fetch_add(1, std::memory_order_relaxed);
-      const std::lock_guard<std::mutex> lock(batch_io);
-      std::fprintf(stderr, "%s", evvo::check::batch_report_to_string(report).c_str());
-      std::fprintf(stderr, "replay: evvo_fuzz --batch --seed %llu\n",
-                   static_cast<unsigned long long>(seed));
-    });
-    const double batch_s = evvo::common::seconds_between_ns(t0, evvo::common::now_ns());
-    std::printf(
-        "%zu batch(es) checked in %.1f s (%zu problems, %zu infeasible), %zu violation(s)\n",
-        opt.count, batch_s, lanes.load(), infeasible_lanes.load(), batch_failures.load());
-    return batch_failures.load() == 0 ? 0 : 1;
   }
 
   check.run_replay = opt.replay;
