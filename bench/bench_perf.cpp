@@ -25,6 +25,12 @@
 namespace evvo {
 namespace {
 
+/// Request time of the k-th hit of a cache benchmark: phase-congruent with
+/// 600 s (60 s steps, the US-25 hyperperiod) and wrapped so that millions of
+/// iterations stay inside the solver's float clock, which PlanService
+/// enforces on hits too.
+double congruent_time(long k) { return 600.0 + 60.0 * static_cast<double>(k % 100000); }
+
 void BM_EnergyRate(benchmark::State& state) {
   const ev::EnergyModel model;
   double v = 1.0;
@@ -67,26 +73,6 @@ void BM_DpSolveCorridor(benchmark::State& state) {
 }
 BENCHMARK(BM_DpSolveCorridor)->Arg(10)->Arg(20)->Arg(40)->Unit(benchmark::kMillisecond);
 
-void BM_DpSolveCorridorParallel(benchmark::State& state) {
-  const road::Corridor corridor = road::make_us25_corridor();
-  const ev::EnergyModel energy;
-  core::PlannerConfig cfg;
-  cfg.policy = core::SignalPolicy::kQueueAware;
-  cfg.resolution.threads = static_cast<unsigned>(state.range(0));
-  const core::VelocityPlanner planner(corridor, energy, cfg);
-  const auto arrivals = std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0));
-  (void)planner.plan(Seconds(0.0), arrivals);  // warm the workspace + model tables
-  // Phase-congruent depart steps keep every solve cold (see BM_DpSolveCorridor).
-  double depart_s = 60.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.plan(Seconds(depart_s), arrivals));
-    depart_s += 60.0;
-  }
-  state.SetLabel("threads=" + std::to_string(state.range(0)) + ", ds=10m");
-}
-BENCHMARK(BM_DpSolveCorridorParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 /// The replan microbenchmarks mutate one T_q window of the *last* enforced
 /// signal (light2 at 3460 m of the 4200 m corridor) between two values, so
 /// every solve sees a real edit and the warm path re-relaxes only the ~18%
@@ -107,7 +93,6 @@ struct ReplanWorkload {
     problem.energy = &energy;
     problem.depart_time = Seconds(0.0);
     problem.resolution = cfg.resolution;
-    problem.resolution.threads = 1;
     problem.penalty = cfg.penalty;
     problem.time_weight_mah_per_s = cfg.time_weight_mah_per_s;
     problem.smoothness_weight_mah_per_ms = cfg.smoothness_weight_mah_per_ms;
@@ -136,8 +121,7 @@ void BM_DpReplanWarm(benchmark::State& state) {
   core::DpReplanStats rstats;
   for (auto _ : state) {
     w.shift_window(flip = !flip);
-    benchmark::DoNotOptimize(core::solve_dp_incremental(w.problem, prev, workspace,
-                                                        nullptr, &rstats));
+    benchmark::DoNotOptimize(core::solve_dp_incremental(w.problem, prev, workspace, &rstats));
   }
   state.SetLabel("stripes from layer " + std::to_string(rstats.first_relax) + "/" +
                  std::to_string(rstats.total_layers) + ", ds=10m");
@@ -185,7 +169,7 @@ void BM_PlanServiceReplanHit(benchmark::State& state) {
   long tick = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        service.request_replan({1, 2000.0, 15.0, 600.0 + 60.0 * (++tick)}));
+        service.request_replan({1, 2000.0, 15.0, congruent_time(++tick)}));
   }
   state.SetLabel("phase-congruent mid-route states served from the memo");
 }
@@ -302,7 +286,7 @@ void BM_PlanServiceCachedRequest(benchmark::State& state) {
   (void)service.request_plan({0, 600.0});  // warm the cache
   long depart = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.request_plan({1, 600.0 + 60.0 * (++depart)}));
+    benchmark::DoNotOptimize(service.request_plan({1, congruent_time(++depart)}));
   }
   state.SetLabel("phase-congruent departures served from cache");
 }
@@ -321,7 +305,7 @@ void BM_PlanServiceTicketHit(benchmark::State& state) {
   (void)service.request_plan({0, 600.0});  // warm the cache
   long depart = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.request_plan_ticket({1, 600.0 + 60.0 * (++depart)}));
+    benchmark::DoNotOptimize(service.request_plan_ticket({1, congruent_time(++depart)}));
   }
   state.SetLabel("cache hits served as tickets, no profile copy");
 }
@@ -336,7 +320,6 @@ void BM_PlanServiceShardedBatchHit(benchmark::State& state) {
   cfg.vm = sim::calibrated_vm_params(sim_cfg.background_driver, 13.4, sim_cfg.straight_ratio);
   cloud::CacheConfig cache;
   cache.shards = 8;
-  cache.batch_threads = 1;
   cloud::PlanService service(
       core::VelocityPlanner(road::make_us25_corridor(), ev::EnergyModel{}, cfg),
       std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0)), cache);
@@ -348,7 +331,7 @@ void BM_PlanServiceShardedBatchHit(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     requests.clear();
-    const double epoch = 600.0 + 60.0 * (++tick);
+    const double epoch = congruent_time(++tick);
     for (int i = 0; i < kBatch; ++i) requests.push_back({i, epoch + 11.0 * (i % kBins)});
     state.ResumeTiming();
     benchmark::DoNotOptimize(service.request_plan_tickets(requests));
@@ -360,34 +343,32 @@ BENCHMARK(BM_PlanServiceShardedBatchHit);
 
 void BM_PlanServiceConcurrentMisses(benchmark::State& state) {
   // A batch of distinct-key misses: the leaders solve one after another on
-  // the calling thread, and the service pool only materializes responses.
+  // the calling thread, which then materializes the responses.
   sim::MicrosimConfig sim_cfg;
   core::PlannerConfig cfg;
   cfg.vm = sim::calibrated_vm_params(sim_cfg.background_driver, 13.4, sim_cfg.straight_ratio);
   cfg.resolution.ds_m = 40.0;  // coarse grid: many solves per iteration
-  const auto batch_threads = static_cast<unsigned>(state.range(0));
   constexpr int kBatch = 8;
   for (auto _ : state) {
     state.PauseTiming();
-    cloud::CacheConfig cache;
-    cache.batch_threads = batch_threads;
     cloud::PlanService service(
         core::VelocityPlanner(road::make_us25_corridor(), ev::EnergyModel{}, cfg),
-        std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0)), cache);
+        std::make_shared<traffic::ConstantArrivalRate>(flow_from_veh_h(765.0)));
     std::vector<cloud::PlanRequest> requests;
     for (int i = 0; i < kBatch; ++i) requests.push_back({i, 600.0 + 7.0 * i});
     state.ResumeTiming();
     benchmark::DoNotOptimize(service.request_plans(requests));
   }
-  state.SetLabel("threads=" + std::to_string(batch_threads) + ", " +
-                 std::to_string(kBatch) + " distinct-key misses");
+  state.SetLabel(std::to_string(kBatch) + " distinct-key misses");
 }
-BENCHMARK(BM_PlanServiceConcurrentMisses)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+// The argument is vestigial (it once sized a materialize pool); it keeps the
+// name the committed baseline gates.
+BENCHMARK(BM_PlanServiceConcurrentMisses)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_TelemetryOverhead(benchmark::State& state) {
   // Per-event cost of the instrumentation the hot paths carry: one sharded
   // counter add plus one TraceSpan (two clock reads + histogram record) —
-  // what the DP solver pays per stripe. Gated in CI like the solver benches;
+  // what the DP solver pays per relaxed layer. Gated in CI like the solver benches;
   // in EVVO_TELEMETRY=OFF builds the span compiles away and this measures
   // the counter alone.
   static telemetry::Counter& ctr = telemetry::counter("bench.telemetry.events");

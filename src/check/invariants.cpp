@@ -4,13 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "check/reference_dp.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "core/penalty.hpp"
 #include "core/profile_eval.hpp"
@@ -150,89 +148,35 @@ double integrate_profile_energy(const road::Route& route, const ev::EnergyModel&
   return total;
 }
 
-struct SolveSet {
-  std::optional<DpSolution> serial;                 ///< threads = 1, with checksum
-  std::vector<std::optional<DpSolution>> threaded;  ///< one per requested count
-};
-
-SolveSet solve_all(const DpProblem& base, core::DpWorkspace& ws, common::ThreadPool* pool,
-                   const std::vector<unsigned>& thread_counts) {
-  SolveSet out;
-  DpProblem p = base;
-  p.checksum_tables = true;
-  p.resolution.threads = 1;
-  out.serial = core::solve_dp(p, ws, nullptr);
-  for (const unsigned tc : thread_counts) {
-    p.resolution.threads = tc;
-    out.threaded.push_back(core::solve_dp(p, ws, pool));
-  }
-  return out;
-}
-
-/// Asserts every threaded solve is bit-identical to the serial baseline.
-void check_thread_identity(Reporter& rep, const char* mode, const SolveSet& set,
-                           const std::vector<unsigned>& thread_counts) {
-  for (std::size_t t = 0; t < set.threaded.size(); ++t) {
-    const auto& threaded = set.threaded[t];
-    const unsigned tc = thread_counts[t];
-    if (threaded.has_value() != set.serial.has_value()) {
-      rep.add("threads.feasibility")
-          << mode << ": threads=" << tc << " feasible=" << threaded.has_value()
-          << " but serial feasible=" << set.serial.has_value();
-      rep.commit();
-      continue;
-    }
-    if (!threaded) continue;
-    if (threaded->stats.table_checksum != set.serial->stats.table_checksum) {
-      rep.add("threads.checksum")
-          << mode << ": threads=" << tc << " table checksum " << std::hex
-          << threaded->stats.table_checksum << " != serial " << set.serial->stats.table_checksum;
-      rep.commit();
-    }
-    if (threaded->stats.best_cost_mah != set.serial->stats.best_cost_mah) {
-      rep.add("threads.cost") << mode << ": threads=" << tc << " best cost "
-                              << threaded->stats.best_cost_mah << " != serial "
-                              << set.serial->stats.best_cost_mah;
-      rep.commit();
-    }
-    if (!profiles_bit_identical(threaded->profile, set.serial->profile)) {
-      rep.add("threads.profile") << mode << ": threads=" << tc
-                                 << " extracted profile differs from the serial profile";
-      rep.commit();
-    }
-  }
-}
-
-/// Asserts a scalar-kernel solve (DpResolution::simd off, serial) is
-/// bit-identical to the vectorized serial baseline. The SIMD layer promises
-/// lane-exact IEEE arithmetic and scalar tie-breaking (common/simd.hpp); this
-/// is the oracle that holds it to that promise on every generated scenario.
+/// Asserts a scalar-kernel solve (DpResolution::simd off) is bit-identical
+/// to the vectorized baseline. The SIMD layer promises lane-exact IEEE
+/// arithmetic and scalar tie-breaking (common/simd.hpp); this is the oracle
+/// that holds it to that promise on every generated scenario.
 void check_simd_identity(Reporter& rep, const DpProblem& base, core::DpWorkspace& ws,
-                         const SolveSet& un) {
+                         const std::optional<DpSolution>& un) {
   DpProblem p = base;
   p.checksum_tables = true;
-  p.resolution.threads = 1;
   p.resolution.simd = false;
-  const std::optional<DpSolution> scalar = core::solve_dp(p, ws, nullptr);
-  if (scalar.has_value() != un.serial.has_value()) {
+  const std::optional<DpSolution> scalar = core::solve_dp(p, ws);
+  if (scalar.has_value() != un.has_value()) {
     rep.add("simd.feasibility") << "simd-off feasible=" << scalar.has_value()
-                                << " but simd-on feasible=" << un.serial.has_value();
+                                << " but simd-on feasible=" << un.has_value();
     rep.commit();
     return;
   }
   if (!scalar) return;
-  if (scalar->stats.table_checksum != un.serial->stats.table_checksum) {
+  if (scalar->stats.table_checksum != un->stats.table_checksum) {
     rep.add("simd.checksum") << std::hex << "simd-off table checksum "
                              << scalar->stats.table_checksum << " != simd-on "
-                             << un.serial->stats.table_checksum;
+                             << un->stats.table_checksum;
     rep.commit();
   }
-  if (scalar->stats.best_cost_mah != un.serial->stats.best_cost_mah) {
+  if (scalar->stats.best_cost_mah != un->stats.best_cost_mah) {
     rep.add("simd.cost") << "simd-off best cost " << scalar->stats.best_cost_mah
-                         << " != simd-on " << un.serial->stats.best_cost_mah;
+                         << " != simd-on " << un->stats.best_cost_mah;
     rep.commit();
   }
-  if (!profiles_bit_identical(scalar->profile, un.serial->profile)) {
+  if (!profiles_bit_identical(scalar->profile, un->profile)) {
     rep.add("simd.profile") << "simd-off extracted profile differs from the simd-on profile";
     rep.commit();
   }
@@ -243,16 +187,16 @@ void check_simd_identity(Reporter& rep, const DpProblem& base, core::DpWorkspace
 /// and the bound at the source is admissible - at most the optimum, up to
 /// the float slack the solver's pruning margin covers.
 void check_bound_pruning(Reporter& rep, const DpProblem& base, core::DpWorkspace& ws,
-                         const SolveSet& un, const SolveSet& pr, Fault inject) {
+                         const std::optional<DpSolution>& un,
+                         const std::optional<DpSolution>& pr, Fault inject) {
   for (const bool dominance : {false, true}) {
-    const std::optional<DpSolution>& exact = dominance ? pr.serial : un.serial;
+    const std::optional<DpSolution>& exact = dominance ? pr : un;
     const char* mode = dominance ? "dominance-pruned" : "exhaustive";
     DpProblem p = base;
     p.dominance_pruning = dominance;
     p.bound_pruning = true;
-    p.resolution.threads = 1;
     if (inject == Fault::kBoundInadmissible) p.bound_fault_inflation = 1.5;
-    const std::optional<DpSolution> bounded = core::solve_dp(p, ws, nullptr);
+    const std::optional<DpSolution> bounded = core::solve_dp(p, ws);
     if (bounded.has_value() != exact.has_value()) {
       rep.add("bound.feasibility") << mode << ": bound-pruned feasible=" << bounded.has_value()
                                    << " but exact feasible=" << exact.has_value();
@@ -502,21 +446,13 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
     }
   }
 
-  std::unique_ptr<common::ThreadPool> local_pool;
-  common::ThreadPool* pool = options.pool;
-  unsigned max_tc = 1;
-  for (const unsigned tc : options.thread_counts) max_tc = std::max(max_tc, tc);
-  if (!pool && max_tc > 1) {
-    local_pool = std::make_unique<common::ThreadPool>(max_tc);
-    pool = local_pool.get();
-  }
-
   core::DpWorkspace ws;  // shared across every production solve below
 
-  // --- solver identity: unpruned ---
+  // --- exact tables: unpruned ---
   DpProblem unpruned = base;
   unpruned.dominance_pruning = false;
-  const SolveSet un = solve_all(unpruned, ws, pool, options.thread_counts);
+  unpruned.checksum_tables = true;
+  const std::optional<DpSolution> un = core::solve_dp(unpruned, ws);
 
   // --- differential oracle ---
   if (options.run_reference) {
@@ -525,48 +461,46 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
       ref->best_cost_mah += 1.0;
       ref->table_checksum ^= 0xDEADBEEFull;
     }
-    if (ref.has_value() != un.serial.has_value()) {
+    if (ref.has_value() != un.has_value()) {
       rep.add("differential.feasibility")
           << "reference feasible=" << ref.has_value()
-          << " but production feasible=" << un.serial.has_value();
+          << " but production feasible=" << un.has_value();
       rep.commit();
     } else if (ref) {
-      if (ref->table_checksum != un.serial->stats.table_checksum) {
+      if (ref->table_checksum != un->stats.table_checksum) {
         rep.add("differential.checksum")
             << std::hex << "reference table checksum " << ref->table_checksum
-            << " != production " << un.serial->stats.table_checksum;
+            << " != production " << un->stats.table_checksum;
         rep.commit();
       }
-      if (ref->best_cost_mah != un.serial->stats.best_cost_mah) {
+      if (ref->best_cost_mah != un->stats.best_cost_mah) {
         rep.add("differential.cost") << "reference best cost " << ref->best_cost_mah
-                                     << " != production " << un.serial->stats.best_cost_mah;
+                                     << " != production " << un->stats.best_cost_mah;
         rep.commit();
       }
-      if (!profiles_bit_identical(ref->profile, un.serial->profile)) {
+      if (!profiles_bit_identical(ref->profile, un->profile)) {
         rep.add("differential.profile") << "reference profile differs from production";
         rep.commit();
       }
     }
   }
 
-  check_thread_identity(rep, "unpruned", un, options.thread_counts);
-
   // --- solver identity: vectorized vs scalar kernel ---
   if (options.run_simd_identity) check_simd_identity(rep, unpruned, ws, un);
 
-  // --- solver identity: pruned (forced on, whatever the spec says) ---
+  // --- exact tables: pruned (forced on, whatever the spec says) ---
   DpProblem pruned = base;
   pruned.dominance_pruning = true;
-  const SolveSet pr = solve_all(pruned, ws, pool, options.thread_counts);
-  check_thread_identity(rep, "pruned", pr, options.thread_counts);
+  pruned.checksum_tables = true;
+  const std::optional<DpSolution> pr = core::solve_dp(pruned, ws);
 
-  if (pr.serial.has_value() != un.serial.has_value()) {
-    rep.add("pruning.feasibility") << "pruned feasible=" << pr.serial.has_value()
-                                   << " but unpruned feasible=" << un.serial.has_value();
+  if (pr.has_value() != un.has_value()) {
+    rep.add("pruning.feasibility") << "pruned feasible=" << pr.has_value()
+                                   << " but unpruned feasible=" << un.has_value();
     rep.commit();
-  } else if (pr.serial) {
-    const double cp = pr.serial->stats.best_cost_mah;
-    const double cu = un.serial->stats.best_cost_mah;
+  } else if (pr) {
+    const double cp = pr->stats.best_cost_mah;
+    const double cu = un->stats.best_cost_mah;
     if (std::abs(cp - cu) > 1e-4 + 1e-6 * std::abs(cu)) {
       rep.add("pruning.cost") << "pruned best cost " << cp << " != unpruned " << cu;
       rep.commit();
@@ -575,7 +509,7 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
 
   if (options.run_bound_identity) check_bound_pruning(rep, base, ws, un, pr, options.inject);
 
-  const std::optional<DpSolution>& spec_sol = base.dominance_pruning ? pr.serial : un.serial;
+  const std::optional<DpSolution>& spec_sol = base.dominance_pruning ? pr : un;
   if (!spec_sol) {
     report.feasible = false;
     return report;
@@ -642,8 +576,7 @@ CheckReport check_scenario(const ScenarioSpec& spec, const CheckOptions& options
     DpProblem hard = scenario->problem();
     hard.penalty.mode = core::PenaltyMode::kHard;
     hard.checksum_tables = false;
-    hard.resolution.threads = pool ? max_tc : 1;
-    const std::optional<DpSolution> hard_sol = core::solve_dp(hard, ws, pool);
+    const std::optional<DpSolution> hard_sol = core::solve_dp(hard, ws);
     const double c = spec_sol->stats.best_cost_mah;
     if (!hard_sol) {
       if (all_compliant && options.inject == Fault::kNone) {

@@ -6,8 +6,8 @@
 //  - QL-model sanity: predicted zero-queue windows T_q lie inside green
 //    phases, are ordered and disjoint, and queue lengths are never negative;
 //  - solver identity: the DP cost/time/backpointer tables (compared by
-//    checksum) and the extracted profile are bit-identical across thread
-//    counts, for both pruning modes, and the unpruned tables match the naive
+//    checksum) and the extracted profile are bit-identical between the
+//    vectorized and scalar kernels, and the unpruned tables match the naive
 //    reference solver (differential oracle);
 //  - pruning soundness: pruned and unpruned solves agree on the optimal cost;
 //  - bound-pruning contract: a bound-pruned solve returns the exhaustive
@@ -32,10 +32,6 @@
 
 #include "check/scenario.hpp"
 
-namespace evvo::common {
-class ThreadPool;
-}
-
 namespace evvo::check {
 
 /// Deliberate defects for harness self-tests: each targets one invariant
@@ -54,9 +50,6 @@ const char* fault_name(Fault fault);
 Fault fault_from_name(const std::string& name);
 
 struct CheckOptions {
-  /// Thread counts for the table-identity checks (serial is always run and is
-  /// the baseline the others must match bit-for-bit).
-  std::vector<unsigned> thread_counts{2, 4, 8};
   /// Run the naive reference solver (the expensive differential oracle).
   bool run_reference = true;
   /// Run the closed-loop microsim replay oracle.
@@ -68,9 +61,6 @@ struct CheckOptions {
   /// Re-solve with bound pruning on and require the exhaustive solve's
   /// profile and cost (core/dp_solver.hpp, "Bound pruning").
   bool run_bound_identity = true;
-  /// Pool for the threaded solves. Null creates one on demand per call; the
-  /// fuzz driver shares one pool across all scenarios instead.
-  common::ThreadPool* pool = nullptr;
   Fault inject = Fault::kNone;
 };
 

@@ -229,8 +229,8 @@ ReplanChainReport check_replan_chain(std::uint64_t seed, const ReplanChainOption
     // Solve warm and cold, independently.
     core::DpReplanStats rstats;
     std::optional<DpSolution> warm =
-        core::solve_dp_incremental(state.prob, prev, warm_ws, nullptr, &rstats);
-    const std::optional<DpSolution> cold = core::solve_dp(state.prob, cold_ws, nullptr);
+        core::solve_dp_incremental(state.prob, prev, warm_ws, &rstats);
+    const std::optional<DpSolution> cold = core::solve_dp(state.prob, cold_ws);
     ++report.steps;
     report.relaxed_layers += rstats.relaxed_layers;
     report.total_layers += rstats.total_layers;

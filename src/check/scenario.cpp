@@ -340,7 +340,6 @@ core::DpProblem Scenario::problem() const {
   problem.energy = &energy_;
   problem.depart_time = Seconds(spec_.depart_time_s);
   problem.resolution = spec_.planner.resolution;
-  problem.resolution.threads = 1;
   problem.penalty = spec_.planner.penalty;
   problem.time_weight_mah_per_s = spec_.planner.time_weight_mah_per_s;
   problem.smoothness_weight_mah_per_ms = spec_.planner.smoothness_weight_mah_per_ms;

@@ -9,7 +9,6 @@
 
 #include "common/clock.hpp"
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 
 namespace evvo::cloud {
 
@@ -98,9 +97,12 @@ ServiceStats PlanService::Shard::snapshot() const {
 PlanService::CacheKey PlanService::key_for(Seconds depart_time) const {
   const double depart_time_s = depart_time.value();  // .value() seam
   // Checked before the phase is cast to an integer bin (and before anything
-  // reaches the planner): every request_* and slot_for_* path keys here.
-  if (!std::isfinite(depart_time_s))
-    throw std::invalid_argument("PlanService: non-finite request time");
+  // reaches the planner): every request_* and slot_for_* path keys here. The
+  // solver's own clock predicate decides, so a hit is never served at a time
+  // (NaN, +-inf, or beyond the float clock) its bin's miss would reject.
+  if (!planner_.config().resolution.resolves_clock(depart_time))
+    throw std::invalid_argument(
+        "PlanService: request time non-finite or beyond the solver's clock");
   double phase = 0.0;
   if (hyperperiod_s_ > 0.0) {
     phase = std::fmod(depart_time_s, hyperperiod_s_);
@@ -451,21 +453,12 @@ PlanResponse PlanService::request_replan(const ReplanRequest& request) {
   return PlanResponse{ticket.vehicle_id, ticket.materialize(), ticket.cache_hit};
 }
 
-std::vector<PlanResponse> PlanService::materialize_all(std::vector<PlanTicket> tickets) {
-  std::vector<std::optional<PlanResponse>> slots(tickets.size());
-  const auto materialize = [&](std::size_t i) {
-    slots[i] =
-        PlanResponse{tickets[i].vehicle_id, tickets[i].materialize(), tickets[i].cache_hit};
-  };
-  common::ThreadPool* pool = batch_pool();
-  if (pool && tickets.size() > 1) {
-    pool->parallel_for(tickets.size(), materialize);
-  } else {
-    for (std::size_t i = 0; i < tickets.size(); ++i) materialize(i);
-  }
+std::vector<PlanResponse> PlanService::materialize_all(const std::vector<PlanTicket>& tickets) {
   std::vector<PlanResponse> responses;
-  responses.reserve(slots.size());
-  for (auto& slot : slots) responses.push_back(std::move(*slot));
+  responses.reserve(tickets.size());
+  for (const PlanTicket& ticket : tickets) {
+    responses.push_back(PlanResponse{ticket.vehicle_id, ticket.materialize(), ticket.cache_hit});
+  }
   return responses;
 }
 
@@ -475,14 +468,6 @@ std::vector<PlanResponse> PlanService::request_plans(std::span<const PlanRequest
 
 std::vector<PlanResponse> PlanService::request_replans(std::span<const ReplanRequest> requests) {
   return materialize_all(request_replan_tickets(requests));
-}
-
-common::ThreadPool* PlanService::batch_pool() {
-  const unsigned want = common::ThreadPool::resolve_threads(cache_config_.batch_threads);
-  if (want <= 1) return nullptr;
-  common::MutexLock lock(pool_mutex_);
-  if (!batch_pool_) batch_pool_ = std::make_unique<common::ThreadPool>(want);
-  return batch_pool_.get();
 }
 
 ServiceStats PlanService::stats() const {

@@ -66,20 +66,15 @@
 #include "common/thread_annotations.hpp"
 #include "core/planner.hpp"
 
-namespace evvo::common {
-class ThreadPool;
-}
-
 namespace evvo::cloud {
 
 struct CacheConfig {
   std::size_t capacity = 256;        ///< cached plans per shard (LRU eviction)
   double phase_quantum_s = 1.0;      ///< departure-phase bin width
   double demand_quantum_veh_h = 50.0;///< arrival-rate bin width
-  /// Worker threads that materialize the responses of request_plans() and
-  /// request_replans() (the PlanResponse batch forms; solves and the ticket
-  /// APIs never use them); 0 = hardware_concurrency.
-  unsigned batch_threads = 0;
+  /// Ignored: every request is served on the calling thread. Kept, at 1,
+  /// only for the fleet benchmark's run descriptor, which still reads it.
+  unsigned batch_threads = 1;
   /// Cache shards (independent mutex + LRU + in-flight table each). 1 keeps
   /// the original single-mutex layout; fleet serving uses 8+.
   unsigned shards = 1;
@@ -168,14 +163,15 @@ class PlanService {
   ~PlanService();
 
   /// Computes or serves a plan. Thread-safe; see the single-flight notes in
-  /// the header comment.
+  /// the header comment. Every request_* and slot_for_* call throws
+  /// std::invalid_argument, hit or miss, for a request time the solver's
+  /// clock cannot resolve (core::DpResolution::resolves_clock).
   PlanResponse request_plan(const PlanRequest& request);
 
   /// Serves a whole batch. Responses are returned in request order.
   /// Same-key requests within the batch coalesce onto one cache lookup (and,
   /// on a miss, one solve); misses solve one after another on the calling
-  /// thread. The worker pool (CacheConfig::batch_threads) only materializes
-  /// the responses.
+  /// thread, which then materializes the responses.
   std::vector<PlanResponse> request_plans(std::span<const PlanRequest> requests);
 
   /// Computes or serves a replan for a mid-route vehicle state. The returned
@@ -349,8 +345,7 @@ class PlanService {
   /// member's ticket from its group leader's (one cache transaction per
   /// group).
   std::vector<PlanTicket> serve_batch(const std::vector<BatchItem>& items);
-  std::vector<PlanResponse> materialize_all(std::vector<PlanTicket> tickets);
-  common::ThreadPool* batch_pool();
+  static std::vector<PlanResponse> materialize_all(const std::vector<PlanTicket>& tickets);
 
   core::VelocityPlanner planner_;
   std::shared_ptr<const traffic::ArrivalRateProvider> arrivals_;
@@ -371,9 +366,6 @@ class PlanService {
   /// Duration of serve_batch's leader solves, one sample per call that
   /// elected any leader (every leader's problem construction and solve).
   telemetry::Histogram* batch_solve_ns_ = nullptr;
-
-  mutable common::Mutex pool_mutex_{common::LockRank::kServiceBatchPool};
-  std::unique_ptr<common::ThreadPool> batch_pool_ EVVO_GUARDED_BY(pool_mutex_);
 };
 
 /// lcm of the signal cycle durations [s] (integer deciseconds internally);

@@ -16,10 +16,10 @@
 //
 // Ordering rationale (low ranks are acquired first, high ranks are leaves):
 // the serving path enters through a PlanService shard, may touch its flight
-// records and lazily-built pools, hands work to the thread pool, and logs
-// from anywhere — so logging is the highest (leaf) rank, service-entry locks
-// are the lowest, and the pool internals sit in between. Gaps are deliberate:
-// new locks slot in without renumbering.
+// records and the planner's workspace free-list, and logs from anywhere — so
+// logging is the highest (leaf) rank, service-entry locks are the lowest, and
+// the free-list and thread-pool internals sit in between. Gaps are
+// deliberate: new locks slot in without renumbering.
 #pragma once
 
 namespace evvo::common {
@@ -38,15 +38,8 @@ enum class LockRank : int {
   /// for one single-flight solve.
   kPlanFlight = 20,
 
-  /// cloud::PlanService::pool_mutex_ — lazy construction of the batch pool.
-  kServiceBatchPool = 30,
-
   /// core::WorkspacePool::free_mutex_ — solver-context checkout.
   kWorkspacePool = 40,
-
-  /// core::VelocityPlanner Runtime::runtime_mutex — lazy construction of the
-  /// relaxation pool.
-  kPlannerRuntime = 50,
 
   /// common::ThreadPool::queue_mutex_ — batch queue and shutdown flag.
   kThreadPoolQueue = 60,
@@ -71,9 +64,7 @@ constexpr const char* lock_rank_name(LockRank rank) {
     case LockRank::kUnranked: return "kUnranked";
     case LockRank::kPlanShard: return "kPlanShard";
     case LockRank::kPlanFlight: return "kPlanFlight";
-    case LockRank::kServiceBatchPool: return "kServiceBatchPool";
     case LockRank::kWorkspacePool: return "kWorkspacePool";
-    case LockRank::kPlannerRuntime: return "kPlannerRuntime";
     case LockRank::kThreadPoolQueue: return "kThreadPoolQueue";
     case LockRank::kPoolBatch: return "kPoolBatch";
     case LockRank::kTelemetryRegistry: return "kTelemetryRegistry";

@@ -1,17 +1,18 @@
 // Minimal fixed-size worker pool with a caller-participating parallel_for.
 //
+// The library starts no thread of its own: every solve and every service
+// request runs on its caller's thread. This pool serves tools that run
+// independent work items side by side (evvo_fuzz checks whole scenarios and
+// replan chains on it).
+//
 // Design constraints, in order:
 //  1. Deterministic decomposition: parallel_for(n, body) always invokes
 //     body(0..n-1) exactly once each; which thread runs which index is
-//     unspecified, so bodies must own disjoint data per index (the DP solver
-//     assigns each worker a disjoint stripe of destination-velocity rows).
+//     unspecified, so bodies must own disjoint data per index.
 //  2. No deadlock under nesting or pool sharing: the calling thread drains
 //     indices alongside the workers, so a parallel_for completes even when
-//     every worker is busy with someone else's batch (PlanService batches and
-//     DP solves share pools freely).
-//  3. Cheap dispatch: one heap allocation per batch, lock-free index claim;
-//     per-layer dispatch inside the DP solver runs hundreds of times per
-//     solve and must stay in the microseconds.
+//     every worker is busy with someone else's batch.
+//  3. Cheap dispatch: one heap allocation per batch, lock-free index claim.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +39,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total execution width (workers + the calling thread).
-  unsigned thread_count() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
   /// Runs body(i) for every i in [0, n). Blocks until all indices finished.
   /// The first exception thrown by any body is rethrown on the caller after

@@ -28,16 +28,13 @@
 
 #include "core/dp_solver.hpp"
 
-namespace evvo::common {
-class ThreadPool;
-}
-
 namespace evvo::core {
 
 /// Scalar fingerprint of everything - besides the per-layer events and the
 /// pruning flag, which are diffed separately - that feeds the DP tables.
-/// Deliberately excluded: resolution.threads and resolution.simd (any value
-/// is bit-identical, see DpResolution) and checksum_tables (a read-only scan).
+/// Deliberately excluded: resolution.threads (ignored) and resolution.simd
+/// (either value is bit-identical, see DpResolution) and checksum_tables (a
+/// read-only scan).
 /// The route is captured by content hash, not address: replans solve
 /// short-lived suffix routes whose stack addresses recur.
 struct DpProblemKey {
@@ -154,7 +151,6 @@ struct [[nodiscard]] DpReplanStats {
 [[nodiscard]] std::optional<DpSolution> solve_dp_incremental(const DpProblem& problem,
                                                              DpPrevSolution& prev,
                                                              DpWorkspace& workspace,
-                                                             common::ThreadPool* pool = nullptr,
                                                              DpReplanStats* replan_stats = nullptr);
 
 }  // namespace evvo::core

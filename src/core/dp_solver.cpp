@@ -9,7 +9,6 @@
 
 #include "common/simd.hpp"
 #include "common/telemetry.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "core/dp_common.hpp"
 #include "core/dp_replan.hpp"
@@ -41,11 +40,6 @@ constexpr double kBoundFloorMah = 10.0;
 /// h's backward sums against the forward sums over a few hundred layers.
 float bound_margin(float ub) { return 1e-4f * std::abs(ub) + 0.5f; }
 
-/// Below this many sources a layer's stripes run on the calling thread: the
-/// relaxation is shorter than the pool's hand-off (results are identical
-/// either way, since stripes own disjoint rows).
-constexpr std::size_t kMinParallelSources = 2048;
-
 }  // namespace
 
 void DpResolution::validate() const {
@@ -57,6 +51,18 @@ void DpResolution::validate() const {
   if (horizon_s / dt_s > 1e6) throw std::invalid_argument("DpResolution: too many time bins");
 }
 
+bool DpResolution::resolves_clock(Seconds time) const {
+  const double time_s = time.value();  // .value() seam
+  // Arrival times are propagated as float. Once one float step at the end of
+  // the trip exceeds a time bin, arrivals can no longer be binned, and a
+  // departure rounded below itself would index before bin 0.
+  if (!std::isfinite(time_s)) return false;
+  const double reach = std::abs(time_s) + horizon_s;
+  const double float_step =
+      std::ldexp(1.0, std::ilogb(reach) - (std::numeric_limits<float>::digits - 1));
+  return float_step <= dt_s;
+}
+
 void DpProblem::validate() const {
   if (!route || !energy) throw std::invalid_argument("DpProblem: route and energy model required");
   if (!std::isfinite(depart_time.value()) || !std::isfinite(initial_speed.value()) ||
@@ -64,13 +70,7 @@ void DpProblem::validate() const {
     throw std::invalid_argument("DpProblem: departure time and boundary speeds must be finite");
   resolution.validate();
   penalty.validate();
-  // Arrival times are propagated as float. Once one float step at the end of
-  // the trip exceeds a time bin, arrivals can no longer be binned, and a
-  // departure rounded below itself would index before bin 0.
-  const double reach = std::abs(depart_time.value()) + resolution.horizon_s;
-  const double float_step =
-      std::ldexp(1.0, std::ilogb(reach) - (std::numeric_limits<float>::digits - 1));
-  if (float_step > resolution.dt_s)
+  if (!resolution.resolves_clock(depart_time))
     throw std::invalid_argument("DpProblem: departure time too large to resolve one time bin");
 }
 
@@ -197,7 +197,7 @@ void DpWorkspace::ensure_model_tables(const road::Route& route, const ev::Energy
 
 void DpWorkspace::ensure_state_tables(std::size_t n_layers, std::size_t n_v, std::size_t n_t) {
   // No grid-wide clear per solve: each destination row's span is reset to
-  // +inf by the stripe that relaxes into it, and time_/back_ are only ever
+  // +inf just before it is relaxed into, and time_/back_ are only ever
   // read behind a finite cost, so stale contents from earlier solves are
   // unreachable. Only fresh memory or a changed row layout needs a fill.
   const std::size_t need = n_layers * n_v * n_t;
@@ -222,12 +222,12 @@ namespace detail {
 /// One solve over a workspace. Per layer, the live (velocity, time-bin)
 /// cells are gathered into a compact source list (costs, times, window
 /// membership, and packed backpointers precomputed) and only those are
-/// relaxed; destination rows are lazily reset to +inf just before a stripe
-/// relaxes into them, so no full-grid clear ever happens.
+/// relaxed; destination rows are lazily reset to +inf just before they are
+/// relaxed into, so no full-grid clear ever happens.
 class DpEngine {
  public:
-  DpEngine(const DpProblem& problem, DpWorkspace& ws, common::ThreadPool* pool)
-      : problem_(problem), ws_(ws), pool_(pool), route_(*problem.route),
+  DpEngine(const DpProblem& problem, DpWorkspace& ws)
+      : problem_(problem), ws_(ws), route_(*problem.route),
         energy_(*problem.energy), res_(problem.resolution) {}
 
   /// first_relax > 0 is the warm entry (core/dp_replan.hpp): the workspace
@@ -269,7 +269,7 @@ class DpEngine {
   /// pruning). std::nullopt: infeasible, or optimum above `ub` (uncertified).
   std::optional<DpSolution> sweep(std::size_t first_relax, float ub);
   bool relax_layer(std::size_t i);  // false: layer empty, solve infeasible
-  void relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_end, std::size_t stripe);
+  void relax_rows(std::size_t i);   // layer i's gathered sources into layer i + 1
   std::optional<DpSolution> extract_solution();
 
   std::size_t cell_of(std::size_t j, std::size_t k) const { return j * n_t_ + k; }
@@ -283,7 +283,6 @@ class DpEngine {
 
   const DpProblem& problem_;
   DpWorkspace& ws_;
-  common::ThreadPool* pool_;
   const road::Route& route_;
   const ev::EnergyModel& energy_;
   const DpResolution& res_;
@@ -317,7 +316,6 @@ class DpEngine {
   float accepted_ub_ = kInf;
   bool fell_back_cold_ = false;
 
-  std::vector<std::size_t> stripe_relaxations_;
   DpStats stats_;
 };
 
@@ -469,10 +467,6 @@ void DpEngine::setup(std::size_t first_relax) {
   stats_.layers = n_layers_;
   stats_.velocity_levels = n_v_;
   stats_.time_bins = n_t_;
-  const std::size_t width = pool_ ? std::min<std::size_t>(pool_->thread_count(),
-                                                          common::ThreadPool::resolve_threads(res_.threads))
-                                  : 1;
-  stripe_relaxations_.assign(std::max<std::size_t>(width, 1), 0);
 }
 
 void DpEngine::compute_bound() {
@@ -541,16 +535,9 @@ std::optional<DpSolution> DpEngine::sweep(std::size_t first_relax, float ub) {
     ws_.span_[j_source_] = DpWorkspace::RowSpan{0, 1};
   }
 
-  std::fill(stripe_relaxations_.begin(), stripe_relaxations_.end(), 0);
-  bool feasible = true;
   for (std::size_t i = first_relax; i + 1 < n_layers_; ++i) {
-    if (!relax_layer(i)) {
-      feasible = false;
-      break;
-    }
+    if (!relax_layer(i)) return std::nullopt;
   }
-  for (const std::size_t count : stripe_relaxations_) stats_.relaxations += count;
-  if (!feasible) return std::nullopt;
 
   std::optional<DpSolution> out = extract_solution();
   if (!out || static_cast<float>(out->stats.best_cost_mah) > ub) return std::nullopt;
@@ -688,7 +675,7 @@ bool DpEngine::relax_layer(std::size_t i) {
   stats_.frontier_states += n_src;
   // An empty layer can never be recovered from (later layers are fed only
   // from here), so the solve is infeasible and the sweep stops; stopping
-  // before the stripes also keeps the next layer's rows from being read
+  // before the relaxation also keeps the next layer's rows from being read
   // uninitialized.
   if (n_src == 0) return false;
 
@@ -706,31 +693,16 @@ bool DpEngine::relax_layer(std::size_t i) {
     ++n;
   }
 
-  // Gather relaxation into layer i+1 over destination-velocity stripes; each
-  // stripe owns a disjoint range of destination rows (which it first resets
-  // to +inf), so stripes never write the same cell and may run on any number
-  // of threads.
-  const std::size_t n_stripes =
-      std::max<std::size_t>(1, std::min(stripe_relaxations_.size(), n_v_));
-  const auto run_stripe = [&](std::size_t s) {
-    const std::size_t j2_begin = s * n_v_ / n_stripes;
-    const std::size_t j2_end = (s + 1) * n_v_ / n_stripes;
-    relax_stripe(i, j2_begin, j2_end, s);
-  };
-  if (pool_ && n_stripes > 1 && n_src >= kMinParallelSources) {
-    pool_->parallel_for(n_stripes, run_stripe);
-  } else {
-    for (std::size_t s = 0; s < n_stripes; ++s) run_stripe(s);
-  }
+  relax_rows(i);
   return true;
 }
 
-void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_end,
-                            std::size_t stripe) {
-  // Per-stripe wall time; runs on pool workers, so the histogram sees one
-  // sample per (layer, stripe) and its spread exposes stripe imbalance.
-  static telemetry::Histogram& stripe_hist = telemetry::histogram("dp.stripe_relax_ns");
-  const telemetry::TraceSpan stripe_span(stripe_hist, "dp.stripe_relax");
+void DpEngine::relax_rows(std::size_t i) {
+  // Wall time of one layer's relaxation, one sample per relaxed layer. The
+  // metric keeps the name it had when layers relaxed in stripes; the fleet
+  // benchmark reads it under that name.
+  static telemetry::Histogram& relax_hist = telemetry::histogram("dp.stripe_relax_ns");
+  const telemetry::TraceSpan relax_span(relax_hist, "dp.stripe_relax");
 
   const LayerEvent* event = event_at_[i];
   const bool is_sign = event && event->type == LayerEvent::Type::kStopSign;
@@ -753,7 +725,7 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
   float* time = ws_.time_.data() + next_base;
   std::uint32_t* back = ws_.back_.data() + next_base;
   std::size_t relaxations = 0;
-  std::size_t simd_chunks = 0;       // vector iterations taken this stripe
+  std::size_t simd_chunks = 0;       // vector iterations taken this layer
   std::size_t simd_lanes_used = 0;   // lanes that survived the stop mask
 
   // Loop invariants of the vector kernel, hoisted: rows can be short, so
@@ -771,13 +743,12 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
   float cost_buf[W];
   std::int32_t k2_buf[2 * Dw];  // == W on vector backends; 2 on scalar (dead path)
 
-  // Lazy reset: this stripe owns rows [j2_begin, j2_end) of layer i + 1, so
-  // it clears exactly those rows' live spans before relaxing into them, and
-  // records the span each row's writes cover. (No memset: +inf is not a
-  // repeated-byte pattern.)
-  for (std::size_t j2 = j2_begin; j2 < j2_end; ++j2) reset_row(i + 1, j2);
+  // Lazy reset: clear the live spans of layer i + 1's rows before relaxing
+  // into them, then record the span each row's writes cover. (No memset:
+  // +inf is not a repeated-byte pattern.)
+  for (std::size_t j2 = 0; j2 < n_v_; ++j2) reset_row(i + 1, j2);
 
-  for (std::size_t j2 = j2_begin; j2 < j2_end; ++j2) {
+  for (std::size_t j2 = 0; j2 < n_v_; ++j2) {
     std::uint32_t span_lo = static_cast<std::uint32_t>(n_t_), span_hi = 0;
     const auto cover = [&span_lo, &span_hi](std::size_t k2) {
       span_lo = std::min(span_lo, static_cast<std::uint32_t>(k2));
@@ -881,10 +852,10 @@ void DpEngine::relax_stripe(std::size_t i, std::size_t j2_begin, std::size_t j2_
     }
     if (span_lo < span_hi) ws_.span_[(i + 1) * n_v_ + j2] = DpWorkspace::RowSpan{span_lo, span_hi};
   }
-  stripe_relaxations_[stripe] += relaxations;
+  stats_.relaxations += relaxations;
 
   // Lane utilization = used / capacity. Local accumulation above keeps the
-  // inner loop free of atomics; one add per stripe lands in the registry.
+  // inner loop free of atomics; one add per layer lands in the registry.
   if (simd_chunks != 0) {
     static telemetry::Counter& lanes_used_ctr = telemetry::counter("dp.simd_lanes_used");
     static telemetry::Counter& lanes_cap_ctr = telemetry::counter("dp.simd_lanes_capacity");
@@ -996,18 +967,17 @@ std::optional<DpSolution> DpEngine::extract_solution() {
 
 std::optional<DpSolution> solve_dp(const DpProblem& problem) {
   DpWorkspace workspace;
-  return solve_dp(problem, workspace, nullptr);
+  return solve_dp(problem, workspace);
 }
 
-std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace,
-                                   common::ThreadPool* pool) {
+std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace) {
   problem.validate();
-  detail::DpEngine engine(problem, workspace, pool);
+  detail::DpEngine engine(problem, workspace);
   return engine.run(0);
 }
 
 std::optional<DpSolution> solve_dp_incremental(const DpProblem& problem, DpPrevSolution& prev,
-                                               DpWorkspace& workspace, common::ThreadPool* pool,
+                                               DpWorkspace& workspace,
                                                DpReplanStats* replan_stats) {
   problem.validate();
 
@@ -1065,7 +1035,7 @@ std::optional<DpSolution> solve_dp_incremental(const DpProblem& problem, DpPrevS
 
   const std::size_t first_relax =
       delta.path == ReplanDelta::Path::kStripes ? delta.first_relax : 0;
-  detail::DpEngine engine(problem, workspace, pool);
+  detail::DpEngine engine(problem, workspace);
   std::optional<DpSolution> out;
   try {
     out = engine.run(first_relax, prev.bound_ub);

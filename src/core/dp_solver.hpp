@@ -31,10 +31,11 @@
 //    smoothness regularizer are pre-added into one flat table with the same
 //    float rounding sequence as the naive inner loop, making the relaxation
 //    a pure load-add-compare.
-//  - Gather parallelism: the per-layer relaxation is partitioned over
-//    destination-velocity stripes; each worker owns a disjoint range of
-//    destination rows and scans source states, so no two threads ever write
-//    the same cell and results are bit-identical at every thread count.
+//  - Gather relaxation: each destination row of layer i+1 is reset and then
+//    filled by scanning its source states in (velocity, time) order, so
+//    equal-cost ties always resolve to the same predecessor. A solve runs
+//    entirely on the calling thread; concurrency comes from solving
+//    independent requests side by side, each over its own workspace.
 //  - SIMD relaxation: away from enforced signal windows the inner source
 //    scan runs VecF::kWidth states per step (common/simd.hpp) - the arrival
 //    time, horizon test, time binning, and candidate cost are computed
@@ -63,10 +64,6 @@
 #include "road/route.hpp"
 #include "road/signals.hpp"
 
-namespace evvo::common {
-class ThreadPool;
-}
-
 namespace evvo::core {
 
 namespace detail {
@@ -79,10 +76,9 @@ struct DpResolution {
   double dv_ms = 0.5;      ///< velocity quantum
   double dt_s = 1.0;       ///< time-bin width (continuous times are still propagated)
   double horizon_s = 450.0;///< maximum trip duration considered
-  /// Worker threads for the per-layer relaxation; 0 = hardware_concurrency.
-  /// Any value yields bit-identical solutions (gather formulation); 1 runs
-  /// the serial path with no pool involvement at all.
-  unsigned threads = 0;
+  /// Ignored: every solve runs on the calling thread. Kept, at 1, only for
+  /// the fleet benchmark's run descriptor, which still reads it.
+  unsigned threads = 1;
   /// Use the vectorized relaxation kernel (common/simd.hpp) when the build
   /// compiled a non-scalar backend. Either setting yields bit-identical
   /// solutions and stats - the check harness solves both ways and compares
@@ -91,6 +87,13 @@ struct DpResolution {
   bool simd = true;
 
   void validate() const;
+
+  /// True when the solver's float clock resolves one time bin over a trip
+  /// that starts at `time`: `time` is finite and the float spacing at
+  /// |time| + horizon_s is at most dt_s. DpProblem::validate rejects any
+  /// departure for which this is false, and PlanService rejects such request
+  /// times before its cache lookup, so a hit and a miss agree on them.
+  bool resolves_clock(Seconds time) const;
 };
 
 /// A regulatory event snapped to a grid layer.
@@ -155,14 +158,14 @@ struct DpProblem {
   /// Checksum the final state tables into DpStats::table_checksum (see
   /// dp_common.hpp). Off by default: the scan touches the whole grid, which
   /// the lazy-reset data path otherwise avoids. The check harness uses it to
-  /// assert table-level identity across thread counts and against the naive
-  /// reference solver.
+  /// assert table-level identity across solver variants (SIMD on/off, warm
+  /// resumes) and against the naive reference solver.
   bool checksum_tables = false;
 
   /// Throws std::invalid_argument for a missing route or energy model, a
   /// non-finite departure or boundary speed, an invalid resolution or
-  /// penalty, or a departure too large for the float clock to resolve one
-  /// time bin over the trip (float spacing at |depart| + horizon > dt_s).
+  /// penalty, or a departure the float clock cannot resolve
+  /// (!resolution.resolves_clock(depart_time)).
   void validate() const;
 };
 
@@ -196,8 +199,8 @@ struct [[nodiscard]] DpSolution {
 /// The state tables are the dominant per-solve cost of the naive solver
 /// (three multi-megabyte allocations plus an O(N) infinity fill). A
 /// workspace keeps them allocated across solves and skips the grid-wide
-/// clear: each destination row's live span is reset to +inf by the stripe
-/// that relaxes into it, and time_/back_ are only ever read behind a finite
+/// clear: each destination row's live span is reset to +inf just before it
+/// is relaxed into, and time_/back_ are only ever read behind a finite
 /// cost, so no cell is ever read stale. The model tables (feasible hops
 /// per velocity level, per-grade-class transition costs) are cached across
 /// solves and rebuilt only when the route geometry, energy model, or
@@ -212,9 +215,9 @@ namespace detail {
 /// Growable buffer that never value-initializes: growing to N elements is
 /// one allocation, not an allocation plus an N-element memset. The DP state
 /// tables are tens of megabytes and every live cell is written before it is
-/// read (rows are +inf-filled by the relaxing stripe), so the zero-fill a
-/// std::vector would do on first use is pure page-touching waste. Growth
-/// discards contents - callers grow only between solves.
+/// read (rows are +inf-filled just before they are relaxed into), so the
+/// zero-fill a std::vector would do on first use is pure page-touching
+/// waste. Growth discards contents - callers grow only between solves.
 template <typename T>
 class UninitBuffer {
  public:
@@ -292,7 +295,7 @@ class DpWorkspace {
   std::vector<std::uint32_t> layer_class_;  ///< hop layer -> grade class index
   std::vector<double> layer_limit_;         ///< per-layer posted speed limit
 
-  // --- per-solve state (rows reset lazily by the relaxing stripe) ---
+  // --- per-solve state (rows reset lazily, just before they are relaxed) ---
   detail::UninitBuffer<float> cost_;
   detail::UninitBuffer<float> time_;
   detail::UninitBuffer<std::uint32_t> back_;
@@ -333,16 +336,12 @@ class DpWorkspace {
   std::uint64_t solve_serial_ = 0;  ///< see solve_serial()
 };
 
-/// Runs the DP. Returns std::nullopt only if no feasible trajectory reaches
-/// the destination within the horizon. This overload allocates a throwaway
-/// workspace and runs serially.
+/// Runs the DP on the calling thread. Returns std::nullopt only if no
+/// feasible trajectory reaches the destination within the horizon. This
+/// overload allocates a throwaway workspace.
 [[nodiscard]] std::optional<DpSolution> solve_dp(const DpProblem& problem);
 
-/// As above, reusing `workspace` across calls. If `pool` is non-null and
-/// problem.resolution.threads resolves to more than one thread, the
-/// per-layer relaxation runs on the pool; the result is bit-identical to the
-/// serial sweep either way.
-[[nodiscard]] std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace,
-                                   common::ThreadPool* pool = nullptr);
+/// As above, reusing `workspace` across calls.
+[[nodiscard]] std::optional<DpSolution> solve_dp(const DpProblem& problem, DpWorkspace& workspace);
 
 }  // namespace evvo::core

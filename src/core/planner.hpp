@@ -20,6 +20,8 @@
 
 namespace evvo::core {
 
+class WorkspacePool;
+
 enum class SignalPolicy {
   kQueueAware,
   kGreenWindow,
@@ -52,12 +54,12 @@ struct PlannerConfig {
   bool bound_pruning = true;
 };
 
-/// The planner owns a small runtime shared by all copies of itself: a
-/// free-list of DpWorkspace (so repeated plans reuse the solver's state
+/// All copies of a planner share one free-list of solver contexts
+/// (core/workspace_pool.hpp), so repeated plans reuse the solver's state
 /// tables and cached cost model instead of reallocating ~tens of MB per
-/// call) and one lazily created thread pool sized from
-/// config.resolution.threads. plan()/replan() are safe to call concurrently;
-/// each call checks a workspace out of the free list for its duration.
+/// call, and replans of the same corridor suffix warm-start. plan()/replan()
+/// solve on the calling thread and are safe to call concurrently; each call
+/// checks a context out of the free list for its duration.
 class VelocityPlanner {
  public:
   VelocityPlanner(road::Corridor corridor, ev::EnergyModel energy, PlannerConfig config = {});
@@ -93,16 +95,14 @@ class VelocityPlanner {
                         std::shared_ptr<const traffic::ArrivalRateProvider> arrivals = nullptr) const;
 
  private:
-  struct Runtime;
-
-  /// Checks out a workspace (and the shared pool), runs solve_dp, returns
-  /// the workspace. std::nullopt = infeasible.
+  /// Checks out a workspace, runs solve_dp, returns the workspace.
+  /// std::nullopt = infeasible.
   std::optional<DpSolution> solve_problem(const DpProblem& problem) const;
 
   road::Corridor corridor_;
   ev::EnergyModel energy_;
   PlannerConfig config_;
-  std::shared_ptr<Runtime> runtime_;
+  std::shared_ptr<WorkspacePool> workspaces_;
 };
 
 }  // namespace evvo::core

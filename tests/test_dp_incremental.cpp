@@ -21,7 +21,6 @@ DpProblem make_problem(const road::Route& route, const ev::EnergyModel& energy) 
   p.route = &route;
   p.energy = &energy;
   p.resolution = DpResolution{10.0, 0.5, 1.0, 200.0};
-  p.resolution.threads = 1;
   p.time_weight_mah_per_s = 2.0;
   p.checksum_tables = true;
   LayerEvent stop;
@@ -58,7 +57,7 @@ TEST(DpIncremental, FirstSolveGoesColdAndMatches) {
   DpWorkspace warm_ws, cold_ws;
   DpPrevSolution prev;
   DpReplanStats rstats;
-  const auto warm = solve_dp_incremental(p, prev, warm_ws, nullptr, &rstats);
+  const auto warm = solve_dp_incremental(p, prev, warm_ws, &rstats);
   const auto cold = solve_dp(p, cold_ws);
   ASSERT_TRUE(warm.has_value());
   ASSERT_TRUE(cold.has_value());
@@ -79,7 +78,7 @@ TEST(DpIncremental, WindowShiftTakesStripesAndMatchesCold) {
 
   p.events[1].windows[0].end_s = 35.0;  // single T_q window shift at layer 30
   DpReplanStats rstats;
-  const auto warm = solve_dp_incremental(p, prev, warm_ws, nullptr, &rstats);
+  const auto warm = solve_dp_incremental(p, prev, warm_ws, &rstats);
   const auto cold = solve_dp(p, cold_ws);
   ASSERT_TRUE(warm.has_value());
   ASSERT_TRUE(cold.has_value());
@@ -99,7 +98,7 @@ TEST(DpIncremental, ResubmissionSplicesWithoutRelaxing) {
   const std::uint64_t serial = warm_ws.solve_serial();
 
   DpReplanStats rstats;
-  const auto warm = solve_dp_incremental(p, prev, warm_ws, nullptr, &rstats);
+  const auto warm = solve_dp_incremental(p, prev, warm_ws, &rstats);
   const auto cold = solve_dp(p, cold_ws);
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(rstats.path, ReplanDelta::Path::kSpliced);
@@ -123,7 +122,7 @@ TEST(DpIncremental, SpliceBackfillsANewlyRequestedChecksum) {
   // splices, and the checksum is computed from the still-valid tables.
   p.checksum_tables = true;
   DpReplanStats rstats;
-  const auto warm = solve_dp_incremental(p, prev, warm_ws, nullptr, &rstats);
+  const auto warm = solve_dp_incremental(p, prev, warm_ws, &rstats);
   const auto cold = solve_dp(p, cold_ws);
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(rstats.path, ReplanDelta::Path::kSpliced);
@@ -133,7 +132,7 @@ TEST(DpIncremental, SpliceBackfillsANewlyRequestedChecksum) {
 
   // And dropping the request again reports 0, like a cold no-checksum solve.
   p.checksum_tables = false;
-  const auto bare = solve_dp_incremental(p, prev, warm_ws, nullptr, &rstats);
+  const auto bare = solve_dp_incremental(p, prev, warm_ws, &rstats);
   ASSERT_TRUE(bare.has_value());
   EXPECT_EQ(rstats.path, ReplanDelta::Path::kSpliced);
   EXPECT_EQ(bare->stats.table_checksum, 0u);
@@ -153,12 +152,11 @@ TEST(DpIncremental, ClobberedWorkspaceFallsBackCold) {
   other.route = &other_route;
   other.energy = &energy;
   other.resolution = DpResolution{10.0, 0.5, 1.0, 100.0};
-  other.resolution.threads = 1;
   ASSERT_TRUE(solve_dp(other, ws).has_value());
 
   p.events[1].windows[0].end_s = 35.0;  // would be kStripes with valid tables
   DpReplanStats rstats;
-  const auto warm = solve_dp_incremental(p, prev, ws, nullptr, &rstats);
+  const auto warm = solve_dp_incremental(p, prev, ws, &rstats);
   const auto cold = solve_dp(p, cold_ws);
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(rstats.path, ReplanDelta::Path::kCold);
@@ -181,13 +179,13 @@ TEST(DpIncremental, InfeasibleSolveResetsTheWarmState) {
   blocked.penalty.mode = PenaltyMode::kHard;
   DpReplanStats rstats;
   DpWorkspace cold_ws;
-  const auto warm = solve_dp_incremental(blocked, prev, ws, nullptr, &rstats);
+  const auto warm = solve_dp_incremental(blocked, prev, ws, &rstats);
   const auto cold = solve_dp(blocked, cold_ws);
   EXPECT_EQ(warm.has_value(), cold.has_value());
   if (!warm.has_value()) {
     EXPECT_FALSE(prev.valid);
     // The next solve - even of the original problem - must start cold.
-    const auto again = solve_dp_incremental(p, prev, ws, nullptr, &rstats);
+    const auto again = solve_dp_incremental(p, prev, ws, &rstats);
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(rstats.path, ReplanDelta::Path::kCold);
     EXPECT_STREQ(rstats.cold_reason, "no previous solve");

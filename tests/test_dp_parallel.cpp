@@ -1,7 +1,8 @@
-// Parallel-solver equivalence: the stripe-parallel relaxation must produce
-// bit-identical plans at every thread count (gather formulation, see
-// dp_solver.hpp), workspaces must be reusable across solves, and dominance
-// pruning must agree with the exhaustive sweep on the optimal cost.
+// Solver equivalence: dominance pruning must agree with the exhaustive sweep
+// on the optimal cost, the US-25 golden tables and profile stay pinned,
+// workspaces must be reusable across solves, and concurrent plan() calls on
+// one planner (the only parallelism: one solve per calling thread) must each
+// return the serial answer.
 #include "core/dp_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/dp_common.hpp"
 #include "core/planner.hpp"
 #include "ev/energy_model.hpp"
@@ -63,26 +63,6 @@ bool profiles_bit_identical(const PlannedProfile& a, const PlannedProfile& b) {
 
 class ParallelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ParallelEquivalence, EveryThreadCountMatchesSerialBitForBit) {
-  Scenario scenario(GetParam());
-  const auto serial = solve_dp(scenario.problem);
-  ASSERT_TRUE(serial.has_value());
-
-  for (unsigned threads : {2u, 4u, 8u}) {
-    common::ThreadPool pool(threads);
-    DpWorkspace workspace;
-    scenario.problem.resolution.threads = threads;
-    const auto parallel = solve_dp(scenario.problem, workspace, &pool);
-    ASSERT_TRUE(parallel.has_value()) << "threads=" << threads;
-    EXPECT_TRUE(profiles_bit_identical(serial->profile, parallel->profile))
-        << "threads=" << threads;
-    EXPECT_EQ(serial->stats.best_cost_mah, parallel->stats.best_cost_mah);
-    EXPECT_EQ(serial->stats.relaxations, parallel->stats.relaxations);
-    EXPECT_EQ(serial->stats.frontier_states, parallel->stats.frontier_states);
-    EXPECT_EQ(serial->stats.pruned_states, parallel->stats.pruned_states);
-  }
-}
-
 TEST_P(ParallelEquivalence, DominancePruningAgreesWithExhaustiveSweep) {
   Scenario scenario(GetParam());
   scenario.problem.dominance_pruning = true;
@@ -104,8 +84,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,
 //
 // Pins the full DP state-table checksum (every finite-cost cell's cost,
 // arrival time, and backpointer) and an FNV-1a hash of the extracted profile
-// against a committed golden file. The same values must come out at every
-// thread count and in both pruning modes, so any change to relaxation order,
+// against a committed golden file. The profile and cost must come out the
+// same in both pruning modes, so any change to relaxation order,
 // float rounding, pruning, or backtracking shows up as a one-line diff here
 // before it can silently shift Fig. 6-8 numbers. Regenerate deliberately with
 //   EVVO_UPDATE_GOLDEN=1 ./test_dp_parallel
@@ -193,48 +173,34 @@ DpProblem us25_golden_problem(const road::Corridor& corridor, const ev::EnergyMo
   return problem;
 }
 
-TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossThreadsAndPruning) {
+TEST(Us25GoldenChecksum, TablesAndProfilePinnedAcrossPruning) {
   const road::Corridor corridor = road::make_us25_corridor();
   ev::EnergyModel energy;
   DpProblem problem = us25_golden_problem(corridor, energy);
   problem.checksum_tables = true;
   problem.bound_pruning = false;  // the pinned checksums are the exhaustive tables'
 
-  common::ThreadPool pool(8);
-  DpWorkspace workspace;
   Us25Golden computed;
   std::optional<PlannedProfile> first_profile;
   for (const bool pruning : {false, true}) {
     problem.dominance_pruning = pruning;
-    std::uint64_t mode_checksum = 0;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      problem.resolution.threads = threads;
-      const auto solution = threads == 1 ? solve_dp(problem) : solve_dp(problem, workspace, &pool);
-      ASSERT_TRUE(solution.has_value()) << "pruning=" << pruning << " threads=" << threads;
-
-      // Within a pruning mode, the state tables are bit-identical at every
-      // thread count; the extracted profile and cost match across modes too.
-      if (threads == 1) {
-        mode_checksum = solution->stats.table_checksum;
-      } else {
-        EXPECT_EQ(solution->stats.table_checksum, mode_checksum)
-            << "pruning=" << pruning << " threads=" << threads;
-      }
-      if (!first_profile) {
-        first_profile = solution->profile;
-        computed.profile_hash = hash_profile(solution->profile);
-        std::memcpy(&computed.best_cost_bits, &solution->stats.best_cost_mah,
-                    sizeof computed.best_cost_bits);
-      } else {
-        EXPECT_TRUE(profiles_bit_identical(*first_profile, solution->profile))
-            << "pruning=" << pruning << " threads=" << threads;
-        std::uint64_t cost_bits = 0;
-        std::memcpy(&cost_bits, &solution->stats.best_cost_mah, sizeof cost_bits);
-        EXPECT_EQ(cost_bits, computed.best_cost_bits)
-            << "pruning=" << pruning << " threads=" << threads;
-      }
+    const auto solution = solve_dp(problem);
+    ASSERT_TRUE(solution.has_value()) << "pruning=" << pruning;
+    (pruning ? computed.pruned_checksum : computed.unpruned_checksum) =
+        solution->stats.table_checksum;
+    // Each pruning mode pins its own tables; the extracted profile and cost
+    // match across modes.
+    if (!first_profile) {
+      first_profile = solution->profile;
+      computed.profile_hash = hash_profile(solution->profile);
+      std::memcpy(&computed.best_cost_bits, &solution->stats.best_cost_mah,
+                  sizeof computed.best_cost_bits);
+    } else {
+      EXPECT_TRUE(profiles_bit_identical(*first_profile, solution->profile));
+      std::uint64_t cost_bits = 0;
+      std::memcpy(&cost_bits, &solution->stats.best_cost_mah, sizeof cost_bits);
+      EXPECT_EQ(cost_bits, computed.best_cost_bits);
     }
-    (pruning ? computed.pruned_checksum : computed.unpruned_checksum) = mode_checksum;
   }
 
   if (std::getenv("EVVO_UPDATE_GOLDEN") != nullptr) {
@@ -258,31 +224,23 @@ TEST(Us25GoldenChecksum, BoundPruningKeepsThePinnedProfileAndCost) {
   DpProblem problem = us25_golden_problem(corridor, energy);
   const std::optional<Us25Golden> golden = read_golden();
   ASSERT_TRUE(golden.has_value());
-  common::ThreadPool pool(4);
   DpWorkspace workspace;
   for (const bool pruning : {false, true}) {
     problem.dominance_pruning = pruning;
-    for (unsigned threads : {1u, 4u}) {
-      problem.resolution.threads = threads;
-      const auto solution = solve_dp(problem, workspace, threads == 1 ? nullptr : &pool);
-      ASSERT_TRUE(solution.has_value());
-      std::uint64_t cost_bits = 0;
-      std::memcpy(&cost_bits, &solution->stats.best_cost_mah, sizeof cost_bits);
-      EXPECT_EQ(hash_profile(solution->profile), golden->profile_hash)
-          << "pruning=" << pruning << " threads=" << threads;
-      EXPECT_EQ(cost_bits, golden->best_cost_bits);
-      EXPECT_GE(solution->stats.bound_attempts, 1u);
-      EXPECT_LE(solution->stats.bound_mah, solution->stats.best_cost_mah);
-    }
+    const auto solution = solve_dp(problem, workspace);
+    ASSERT_TRUE(solution.has_value());
+    std::uint64_t cost_bits = 0;
+    std::memcpy(&cost_bits, &solution->stats.best_cost_mah, sizeof cost_bits);
+    EXPECT_EQ(hash_profile(solution->profile), golden->profile_hash) << "pruning=" << pruning;
+    EXPECT_EQ(cost_bits, golden->best_cost_bits);
+    EXPECT_GE(solution->stats.bound_attempts, 1u);
+    EXPECT_LE(solution->stats.bound_mah, solution->stats.best_cost_mah);
   }
 }
 
 TEST(DpWorkspace, ReuseAcrossSolvesAndProblems) {
-  common::ThreadPool pool(4);
   DpWorkspace workspace;
   Scenario first(3), second(8, 120.0);
-  first.problem.resolution.threads = 4;
-  second.problem.resolution.threads = 4;
 
   const auto a1 = solve_dp(first.problem);
   const auto b1 = solve_dp(second.problem);
@@ -291,10 +249,10 @@ TEST(DpWorkspace, ReuseAcrossSolvesAndProblems) {
   // Interleave solves on one workspace: the generation-stamped reset and the
   // model-table cache must never leak state between problems.
   for (int round = 0; round < 3; ++round) {
-    const auto a2 = solve_dp(first.problem, workspace, &pool);
+    const auto a2 = solve_dp(first.problem, workspace);
     ASSERT_TRUE(a2.has_value());
     EXPECT_TRUE(profiles_bit_identical(a1->profile, a2->profile)) << "round " << round;
-    const auto b2 = solve_dp(second.problem, workspace, &pool);
+    const auto b2 = solve_dp(second.problem, workspace);
     ASSERT_TRUE(b2.has_value());
     EXPECT_TRUE(profiles_bit_identical(b1->profile, b2->profile)) << "round " << round;
   }
@@ -320,12 +278,12 @@ TEST(DpWorkspace, ReuseAcrossSolvesAndProblems) {
     problem.checksum_tables = true;
     problem.bound_pruning = false;
     DpWorkspace own;
-    fresh.push_back(solve_dp(problem, own, nullptr));
+    fresh.push_back(solve_dp(problem, own));
     ASSERT_TRUE(fresh.back().has_value());
   }
   for (int round = 0; round < 2; ++round) {
     for (std::size_t v = 0; v < variants.size(); ++v) {
-      const auto reused = solve_dp(variants[v], workspace, &pool);
+      const auto reused = solve_dp(variants[v], workspace);
       ASSERT_TRUE(reused.has_value()) << "variant " << v;
       const DpStats& got = reused->stats;
       const DpStats& want = fresh[v]->stats;

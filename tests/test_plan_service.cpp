@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "ev/energy_model.hpp"
+#include "os_threads.hpp"
 #include "road/corridor.hpp"
 #include "sim/calibration.hpp"
 #include "sim/microsim.hpp"
@@ -165,23 +167,40 @@ TEST(PlanService, RejectsNonFiniteRequests) {
   EXPECT_THROW((void)service.request_replan({7, 100.0, 10.0, nan}), std::invalid_argument);
   const std::vector<PlanRequest> batch{{8, 0.0}, {9, nan}};
   EXPECT_THROW((void)service.request_plans(batch), std::invalid_argument);
-  // Finite clocks too large for the solver's float time base: the miss's
-  // solve rejects them. A fresh service keeps them misses - 1e300 falls in
-  // phase bin 0, cached above - and the batch partner sits in a bin none of
-  // them shares.
+  // Finite clocks too large for the solver's float time base are refused
+  // before the cache lookup, so a hit and a miss agree: 1e300 falls in phase
+  // bin 0, cached above, and must not be served from it. Checked on the warm
+  // service and on a cold one.
+  const long requests_before = service.stats().requests;
   PlanService cold(make_planner(), demand(765.0));
-  for (const double t : {1e17, -1e17, 1e300}) {
-    EXPECT_THROW((void)cold.request_plan({10, t}), std::invalid_argument) << t;
-    EXPECT_THROW((void)cold.request_replan({11, 100.0, 10.0, t}), std::invalid_argument) << t;
-    const std::vector<PlanRequest> huge{{12, 30.0}, {13, t}};
-    EXPECT_THROW((void)cold.request_plans(huge), std::invalid_argument) << t;
+  for (PlanService* s : {&service, &cold}) {
+    for (const double t : {1e17, -1e17, 1e300}) {
+      EXPECT_THROW((void)s->request_plan({10, t}), std::invalid_argument) << t;
+      EXPECT_THROW((void)s->request_plan_ticket({10, t}), std::invalid_argument) << t;
+      EXPECT_THROW((void)s->request_replan({11, 100.0, 10.0, t}), std::invalid_argument) << t;
+      const std::vector<PlanRequest> huge{{12, 0.0}, {13, t}};
+      EXPECT_THROW((void)s->request_plans(huge), std::invalid_argument) << t;
+    }
   }
+  EXPECT_EQ(service.stats().requests, requests_before);
+}
+
+TEST(PlanService, BatchServingStartsNoThread) {
+  // Misses solve and responses materialize on the calling thread; the
+  // ignored batch_threads setting starts no pool.
+  CacheConfig cache;
+  cache.batch_threads = 4;
+  PlanService service(make_planner(), demand(765.0), cache);
+  const std::optional<std::size_t> before = os_thread_count();
+  if (!before) GTEST_SKIP() << "/proc/self/task is not available";
+  const std::vector<PlanRequest> batch{{1, 600.0}, {2, 660.0}, {3, 611.0}, {4, 671.0}};
+  EXPECT_EQ(service.request_plans(batch).size(), batch.size());
+  EXPECT_EQ(service.stats().solver_runs, 2);
+  EXPECT_EQ(os_thread_count(), before);
 }
 
 TEST(PlanService, BatchReplansCoalesceOntoOneSolve) {
-  CacheConfig cache;
-  cache.batch_threads = 2;
-  PlanService service(make_planner(), demand(765.0), cache);
+  PlanService service(make_planner(), demand(765.0));
   std::vector<ReplanRequest> fleet;
   for (int i = 0; i < 6; ++i) {
     // Same quantized state, phase-congruent request times.

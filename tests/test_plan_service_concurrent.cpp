@@ -106,9 +106,7 @@ TEST(PlanServiceConcurrent, StatsIdentityUnderMixedContention) {
 }
 
 TEST(PlanServiceConcurrent, BatchApiCoalescesAndPreservesOrder) {
-  CacheConfig cache;
-  cache.batch_threads = 4;
-  PlanService service(make_planner(), demand(500.0), cache);
+  PlanService service(make_planner(), demand(500.0));
 
   std::vector<PlanRequest> requests;
   for (int i = 0; i < 24; ++i) {
@@ -239,7 +237,6 @@ TEST(PlanServiceConcurrent, TicketBatchMissStormSolvesBatchedPerCaller) {
   // group leader, never a second solve.
   CacheConfig cache;
   cache.shards = 8;
-  cache.batch_threads = 1;
   PlanService service(make_planner(), demand(500.0), cache);
 
   constexpr int kPlanThreads = 3;

@@ -7,9 +7,11 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ev/energy_model.hpp"
+#include "os_threads.hpp"
 #include "road/corridor.hpp"
 
 namespace evvo::core {
@@ -144,6 +146,15 @@ TEST(Planner, DepartureTimeShiftsPlanTimes) {
   const PlannedProfile later = planner.plan(Seconds(500.0));
   EXPECT_DOUBLE_EQ(later.depart_time(), 500.0);
   EXPECT_GT(later.arrival_time(), 500.0);
+}
+
+TEST(Planner, PlanStartsNoThread) {
+  // A solve runs on the calling thread: no pool is started behind it.
+  const VelocityPlanner planner(road::make_us25_corridor(), ev::EnergyModel{});
+  const std::optional<std::size_t> before = os_thread_count();
+  if (!before) GTEST_SKIP() << "/proc/self/task is not available";
+  (void)planner.plan(Seconds(60.0), demand(765.0));
+  EXPECT_EQ(os_thread_count(), before);
 }
 
 TEST(Planner, RejectsNonFiniteClockAndState) {

@@ -2,12 +2,16 @@
 //
 // Compares a candidate run against a committed baseline (BENCH_dp.json) and
 // exits nonzero when any benchmark present in both regresses by more than
-// --max-regress (default 10%). Used by the CI bench-gate job:
+// --max-regress (default 10%), or when a baseline benchmark (under --filter)
+// is missing from the candidate: a deleted or renamed benchmark must leave
+// the baseline in the same change, never drop out of the gate unnoticed.
+// Used by the CI bench-gate job:
 //
 //   bench_perf --benchmark_format=json --benchmark_out=cand.json ...
 //   bench_compare --baseline BENCH_dp.json --candidate cand.json --max-regress 0.10
 //
-// Exit codes: 0 = within budget, 1 = regression, 2 = usage/parse/config error.
+// Exit codes: 0 = within budget, 1 = regression or missing benchmark,
+// 2 = usage/parse/config error.
 //
 // Debug numbers must never be compared (that is how the original baseline
 // went bad): files whose evvo_build context tag - written by bench_perf's
@@ -327,10 +331,16 @@ int run_compare(const BenchReport& baseline, const BenchReport& candidate,
 
   std::size_t compared = 0;
   std::size_t regressions = 0;
+  std::size_t missing = 0;
   for (const auto& [name, base] : baseline.entries) {
     if (!opt.filter.empty() && name.find(opt.filter) == std::string::npos) continue;
     const auto it = candidate.entries.find(name);
-    if (it == candidate.entries.end()) continue;  // candidate ran a subset
+    if (it == candidate.entries.end()) {
+      ++missing;
+      std::printf("%-48s %12.1f -> %12s %-5s MISSING (not in candidate)\n", name.c_str(),
+                  base.time_ns, "-", base.is_count ? "count" : "ns");
+      continue;
+    }
     if (base.is_count != it->second.is_count) {
       std::fprintf(stderr,
                    "bench_compare: %s is unit class \"%s\" in the baseline but \"%s\" in the "
@@ -359,16 +369,16 @@ int run_compare(const BenchReport& baseline, const BenchReport& candidate,
     std::printf("%-48s %12s -> %12.1f %-5s NEW (no baseline)\n", name.c_str(), "-",
                 cand.time_ns, cand.is_count ? "count" : "ns");
   }
-  if (compared == 0 && fresh == 0) {
+  if (compared == 0 && fresh == 0 && missing == 0) {
     std::fprintf(stderr,
                  "bench_compare: no benchmark appears in either report%s%s - nothing gated\n",
                  opt.filter.empty() ? "" : " under filter ",
                  opt.filter.c_str());
     return 2;
   }
-  std::printf("%zu benchmark(s) compared, %zu new, %zu regression(s) beyond %.0f%%\n", compared,
-              fresh, regressions, opt.max_regress * 100.0);
-  return regressions == 0 ? 0 : 1;
+  std::printf("%zu benchmark(s) compared, %zu new, %zu missing, %zu regression(s) beyond %.0f%%\n",
+              compared, fresh, missing, regressions, opt.max_regress * 100.0);
+  return regressions == 0 && missing == 0 ? 0 : 1;
 }
 
 // --- self-test --------------------------------------------------------------
@@ -463,15 +473,29 @@ int self_test() {
   expect(run_compare(*base, *grown_slow_report, opt) == 1,
          "new benchmark does not mask a regression");
 
-  // An all-new candidate (first run after adding benchmarks to the filter)
-  // passes with the additions reported; nothing exists to gate yet.
+  // A baseline benchmark the candidate no longer runs (deleted or renamed)
+  // fails the gate as MISSING instead of silently leaving it, even when
+  // everything else is within budget.
   const auto other = parse(report_json("release", "BM_Y/1", 100.0, "ns"), "cpu_time");
-  expect(run_compare(*base, *other, opt) == 0, "all-new candidate passes, reported as new");
+  expect(run_compare(*base, *other, opt) == 1, "baseline benchmark missing from candidate fails");
+  const std::string shrunk = R"({"context": {"evvo_build": "release"}, "benchmarks": [
+    {"name": "BM_X/10", "run_type": "iteration", "cpu_time": 100.0, "time_unit": "ns"},
+    {"name": "BM_Gone/4", "run_type": "iteration", "cpu_time": 50.0, "time_unit": "ns"}]})";
+  const auto shrunk_report = parse(shrunk, "cpu_time");
+  expect(run_compare(*shrunk_report, *base, opt) == 1, "one missing leg fails the family");
+  CompareOptions only_x = opt;
+  only_x.filter = "BM_X";
+  expect(run_compare(*shrunk_report, *base, only_x) == 0,
+         "a baseline entry outside --filter is not missing");
 
-  // Two reports with nothing in them at all still flag a config error.
+  // An all-new candidate against an empty baseline (first run after adding
+  // benchmarks) passes with the additions reported; nothing exists to gate.
   const std::string empty_report =
       R"({"context": {"evvo_build": "release"}, "benchmarks": []})";
   const auto none = parse(empty_report, "cpu_time");
+  expect(run_compare(*none, *other, opt) == 0, "all-new candidate passes, reported as new");
+
+  // Two reports with nothing in them at all still flag a config error.
   expect(run_compare(*none, *none, opt) == 2, "empty reports are an error");
 
   if (failures == 0) std::printf("bench_compare self-test: all checks passed\n");

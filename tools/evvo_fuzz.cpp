@@ -1,7 +1,7 @@
 // Scenario-fuzz driver for the correctness harness (src/check).
 //
 // Generates seed-reproducible scenarios, runs the full invariant battery on
-// each (differential oracle, thread/pruning identity, feasibility, window
+// each (differential oracle, SIMD/pruning identity, feasibility, window
 // compliance, energy accounting, microsim replay), shrinks any failure to a
 // minimal spec, and prints a one-line replay command. Exits nonzero when any
 // scenario violates an invariant.
@@ -185,13 +185,12 @@ int main(int argc, char** argv) {
   check.run_replay = opt.replay;
   check.run_reference = opt.reference;
   if (opt.simd_only) {
-    // Vector-vs-scalar identity sweep: skip the expensive oracles and the
-    // threaded solves so many scenarios fit in a CI timeslot. The pruned,
-    // feasibility, compliance, and energy invariants still run - they are
-    // byproducts of the solves the identity check needs anyway.
+    // Vector-vs-scalar identity sweep: skip the expensive oracles so many
+    // scenarios fit in a CI timeslot. The pruned, feasibility, compliance,
+    // and energy invariants still run - they are byproducts of the solves the
+    // identity check needs anyway.
     check.run_reference = false;
     check.run_replay = false;
-    check.thread_counts.clear();
   }
   if (opt.bound_only) {
     // Bound-pruning contract sweep: the exhaustive solves it compares
@@ -199,15 +198,7 @@ int main(int argc, char** argv) {
     check.run_reference = false;
     check.run_replay = false;
     check.run_simd_identity = false;
-    check.thread_counts.clear();
   }
-
-  // One pool shared by every scenario's threaded-identity solves; sized for
-  // the largest requested thread count (solve width is capped per problem).
-  unsigned max_tc = 1;
-  for (const unsigned tc : check.thread_counts) max_tc = std::max(max_tc, tc);
-  evvo::common::ThreadPool solver_pool(max_tc);
-  check.pool = &solver_pool;
 
   const auto handle_failure = [&](const evvo::check::ScenarioSpec& spec,
                                   const evvo::check::CheckReport& report) {
@@ -258,10 +249,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Fuzz run: outer parallelism over scenarios. Each worker runs whole
-  // scenarios; the shared solver pool parallelizes the threaded-identity
-  // solves inside them (parallel_for is caller-participating, so nesting is
-  // deadlock-free).
+  // Fuzz run: parallelism over scenarios. Each worker runs whole scenarios,
+  // and every solve inside one runs on that worker's thread.
   const unsigned jobs =
       std::max(1u, opt.jobs ? opt.jobs : evvo::common::ThreadPool::resolve_threads(0) / 2);
   evvo::common::ThreadPool outer(jobs);

@@ -392,7 +392,6 @@ void drive_sharded(cloud::PlanService& service, const std::vector<Request>& requ
 LoadResult run_load(const Options& opt, bool sharded) {
   cloud::CacheConfig cache;
   cache.shards = sharded ? opt.shards : 1;
-  cache.batch_threads = 1;  // drivers are the concurrency; no inner pool
   cloud::PlanService service(make_planner(), demand(), cache);
   warm_service(service);
 
@@ -531,7 +530,6 @@ bool nodes_equal(const std::vector<core::PlanNode>& a, const std::vector<core::P
 int run_check(const Options& opt) {
   cloud::CacheConfig cache;
   cache.shards = opt.shards;
-  cache.batch_threads = 1;
   cloud::PlanService service(make_planner(), demand(), cache);
   core::VelocityPlanner oracle = make_planner();
   const auto arrivals = demand();
